@@ -43,7 +43,6 @@ from .fitter import (
     profile_jacobian,
     profiled_residuals,
     solve_degree_params,
-    solve_structured,
 )
 from .inference import (
     Contrast,
@@ -57,7 +56,6 @@ from .inference import (
     coefficient_covariance,
     coefficient_inference,
     components_from_fit,
-    exact_inverse_apply,
     incidental_bias_expfam,
     incidental_bias_general,
     node_standard_errors,

@@ -14,6 +14,12 @@ options, SHA-256 digests of all inputs, the seed, the tool version, and
 the wall-clock time.  Outputs are plain delimited text with stable
 formatting: re-running a command reproduces them byte for byte.
 
+``fit`` writes ``trace.tsv`` with one row per step of the joint Newton
+solver (one ``IterationRecord`` each): ``outer_iteration`` is the step
+index, 0 for the starting point; ``inner_iterations`` is the number of
+step halvings the step needed; ``degree_norm`` and ``covariate_norm``
+are the sup norms of the degree and covariate residuals after the step.
+
 Exit codes: 0 success, 2 config/parse error, 3 nonexistent solution,
 4 ill-posed inference, 5 internal error.  Every flag can be supplied via
 an environment variable with the ``BIMOMENT_`` prefix (dashes become
@@ -72,7 +78,9 @@ EXIT_INTERNAL = 5
 
 def _env_default(flag: str, fallback):
     """Environment override for a flag: ``--min-degree`` reads
-    ``BIMOMENT_MIN_DEGREE``."""
+    ``BIMOMENT_MIN_DEGREE``.  The raw string is returned so that argparse
+    converts it with the flag's ``type`` and reports a bad value as a
+    usage error."""
     return os.environ.get(ENV_PREFIX + flag.replace("-", "_").upper(), fallback)
 
 
@@ -328,16 +336,15 @@ def build_parser() -> argparse.ArgumentParser:
                        help="drop nodes whose degree is not above this")
     p_fit.add_argument("--filter-mode", choices=("once", "iterate"),
                        default=_env_default("filter-mode", "once"))
-    p_fit.add_argument("--tol", type=float, default=float(_env_default("tol", 1e-8)))
-    p_fit.add_argument("--max-iter", type=int,
-                       default=int(_env_default("max-iter", 100)))
+    p_fit.add_argument("--tol", type=float, default=_env_default("tol", 1e-8))
+    p_fit.add_argument("--max-iter", type=int, default=_env_default("max-iter", 100))
     p_fit.add_argument("--method", choices=("fisher", "sandwich"),
                        default=_env_default("method", "fisher"))
     p_fit.add_argument("--bias-correct", action=argparse.BooleanOptionalAction,
                        default=_env_flag("bias-correct", True))
-    p_fit.add_argument("--seed", type=int, default=int(_env_default("seed", 0)))
+    p_fit.add_argument("--seed", type=int, default=_env_default("seed", 0))
     p_fit.add_argument("--threads", type=int,
-                       default=int(_env_default("threads", 1)),
+                       default=_env_default("threads", 1),
                        help="recorded for reproducibility; fitting is single-threaded")
     p_fit.add_argument("--out-dir", default=_env_default("out-dir", "."),
                        help="directory for report.tsv, trace.tsv, fit.json, manifest.json")
@@ -348,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--seed", type=int, default=None,
                        help="override the scenario's master seed")
     p_sim.add_argument("--threads", type=int,
-                       default=int(_env_default("threads", 1)))
+                       default=_env_default("threads", 1))
     p_sim.add_argument("--out-dir", default=_env_default("out-dir", "."))
     p_sim.set_defaults(func=cmd_simulate)
 

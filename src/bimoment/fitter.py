@@ -17,12 +17,13 @@ their model expectations:
                                            identity and is dropped)
     sum_ij z_ij mu(pi_ij) = sum_ij z_ij x_ij
 
-The solver is a two-stage Newton scheme:  an inner Newton solve of the
-degree equations at fixed ``gamma`` (the Jacobian is diagonally dominant
-with two diagonal blocks plus a dense cross block, solved exactly via a
-Schur complement on the actor block), and an outer Newton iteration on
-the profiled covariate residuals whose Jacobian is the p x p information
-matrix assembled from exact structured solves.
+The solver is one damped Newton iteration on the joint vector
+``(theta, gamma)`` (``theta``: alpha, then beta[:-1]).  Each step solves
+the degree block, diagonally dominant with two diagonal blocks plus a
+dense cross block, exactly via a Schur complement on the actor block, and
+eliminates ``gamma`` through the p x p information matrix ``H``.  The
+degree solve at fixed ``gamma`` and the profiled covariate residuals stay
+as the profile API, the reference against which ``H`` is checked.
 
 A solution need not exist (a zero-degree actor under a positive mean
 function, for instance); divergence is detected and reported as
@@ -31,13 +32,13 @@ function, for instance); divergence is detected and reported as
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 import scipy.linalg
 
-from .data import BipartiteGraph, CovariateTensor, degrees
+from .data import BipartiteGraph, CovariateTensor, DegreeVector, degrees
 from .errors import (
     DataError,
     DomainError,
@@ -113,7 +114,10 @@ class ParameterSet:
 
 @dataclass(frozen=True)
 class FitOptions:
-    """Solver controls.  Tolerances are sup-norm residual bounds."""
+    """Solver controls.  Tolerances are sup-norm residual bounds:
+    ``tol_inner`` on the degree residuals, ``tol_outer`` on the covariate
+    residuals.  ``max_outer`` caps the Newton steps of ``fit``,
+    ``max_inner`` those of ``solve_degree_params``."""
 
     tol_inner: float = 1e-8
     tol_outer: float = 1e-8
@@ -267,7 +271,9 @@ class StructuredJacobian:
 
 @dataclass(frozen=True)
 class IterationRecord:
-    """One outer-iteration row of the convergence trace."""
+    """One convergence-trace row: the Newton step index (0 for the start),
+    the step halvings that step needed, and the residual sup norms at the
+    accepted point."""
 
     outer_iteration: int
     inner_iterations: int
@@ -347,11 +353,12 @@ def build_jacobian(
 
 
 def solve_structured(jacobian: StructuredJacobian, rhs: np.ndarray) -> np.ndarray:
-    """Exact solve of the structured system (Schur complement path)."""
+    """Alias of ``StructuredJacobian.solve``, left out of the package
+    exports; ``bench/tracer.py`` still wraps it by name."""
     return jacobian.solve(rhs)
 
 
-def _check_feasible_degrees(graph: BipartiteGraph, family: ModelFamily):
+def _check_feasible_degrees(graph, deg: DegreeVector, family: ModelFamily):
     """Fail fast on degree configurations that rule out a finite solution.
 
     Any family here has strictly positive means, so zero degrees are
@@ -359,7 +366,6 @@ def _check_feasible_degrees(graph: BipartiteGraph, family: ModelFamily):
     event-n equation is dropped from the system but is implied by the
     others, so its degree is checked too.
     """
-    deg = degrees(graph)
     zero_d = np.nonzero(deg.d == 0)[0]
     zero_b = np.nonzero(deg.b == 0)[0]
     if zero_d.size:
@@ -387,10 +393,11 @@ def _check_feasible_degrees(graph: BipartiteGraph, family: ModelFamily):
             )
 
 
-def _degree_init(graph: BipartiteGraph, family: ModelFamily) -> np.ndarray:
-    """Method-of-moments warm start for the degree parameters."""
-    deg = degrees(graph)
+def _initial_theta(graph, deg: DegreeVector, family: ModelFamily, init: str):
+    """Starting degree parameters: zeros, or a method-of-moments guess."""
     m, n = graph.m, graph.n
+    if init == "zero":
+        return np.zeros(m + n - 1)
     if family.support == "binary":
         eps = 1.0 / (2.0 * max(m, n))
         pa = np.clip(deg.d / n, eps, 1 - eps)
@@ -420,67 +427,17 @@ def solve_degree_params(
     exists only with high probability, and divergence is the observable
     signature of the exceptional event.
     """
-    _check_feasible_degrees(graph, family)
-    m, n = graph.m, graph.n
-    gamma = np.asarray(gamma, dtype=float).reshape(-1)
+    deg = degrees(graph)
+    _check_feasible_degrees(graph, deg, family)
     if warm_start is not None:
-        theta = np.asarray(warm_start, dtype=float).copy()
-    elif options.init == "degree":
-        theta = _degree_init(graph, family)
+        theta = np.array(warm_start, dtype=float)
     else:
-        theta = np.zeros(m + n - 1)
-
-    def residual(th):
-        params = ParameterSet.from_theta(th, gamma, m, n)
-        return params, degree_residuals(params, graph, covariates, family)
-
-    params, f = residual(theta)
-    norm = float(np.abs(f).max())
-    trace = [norm]
-    for _ in range(options.max_inner):
-        if norm <= options.tol_inner:
-            return params, tuple(trace)
-        jac = build_jacobian(params, covariates, family)
-        step = jac.solve(f)
-        scale = 1.0
-        accepted = False
-        for _ in range(options.max_halvings + 1):
-            trial = theta - scale * step
-            try:
-                trial_params, trial_f = residual(trial)
-            except DomainError:
-                # trial point left the family's working domain
-                scale *= 0.5
-                continue
-            trial_norm = float(np.abs(trial_f).max())
-            if trial_norm < norm:
-                theta, params, f, norm = trial, trial_params, trial_f, trial_norm
-                accepted = True
-                break
-            scale *= 0.5
-        if not accepted:
-            # a stall at the numerical floor is still a solution when the
-            # residual is already within the requested tolerance
-            if norm <= options.tol_inner:
-                return params, tuple(trace)
-            raise NonExistenceError(
-                "degree-equation Newton stalled under full damping; "
-                "no finite solution found",
-                trace=trace,
-            )
-        trace.append(norm)
-        if np.abs(theta).max() > PARAM_CAP:
-            raise NonExistenceError(
-                f"degree parameter escaped [-{PARAM_CAP:g}, {PARAM_CAP:g}]; "
-                "the moment equations appear to have no finite solution",
-                trace=trace,
-            )
-    if norm <= options.tol_inner:
-        return params, tuple(trace)
-    raise NonExistenceError(
-        f"inner Newton did not reach tolerance in {options.max_inner} iterations",
-        trace=trace,
+        theta = _initial_theta(graph, deg, family, options.init)
+    gamma = np.asarray(gamma, dtype=float).reshape(-1)
+    params, _pi, _res, trace = _damped_newton(
+        graph, covariates, family, deg, theta, gamma, options, free_gamma=False
     )
+    return params, tuple(rec.degree_norm for rec in trace)
 
 
 def profiled_residuals(
@@ -492,17 +449,11 @@ def profiled_residuals(
     warm_start: np.ndarray = None,
 ) -> np.ndarray:
     """Covariate residuals evaluated at the profiled degree parameters
-    (the inner solve at this ``gamma``)."""
-    q, _params, _trace = _profiled(gamma, graph, covariates, family, options, warm_start)
-    return q
-
-
-def _profiled(gamma, graph, covariates, family, options, warm_start=None):
-    params, trace = solve_degree_params(
+    (the degree solve at this ``gamma``)."""
+    params, _trace = solve_degree_params(
         gamma, graph, covariates, family, options, warm_start
     )
-    q = covariate_residuals(params, graph, covariates, family)
-    return q, params, trace
+    return covariate_residuals(params, graph, covariates, family)
 
 
 def profile_jacobian(
@@ -520,24 +471,30 @@ def profile_jacobian(
     in the degree parameters.  Raises ``IllPosedError`` if the result is
     not symmetric positive definite.
     """
-    p = covariates.p
-    if p == 0:
+    if covariates.p == 0:
         return np.zeros((0, 0))
     slopes = family.mean_d1(params.linear_predictor(covariates))
     jac = StructuredJacobian(slopes)
-    z = covariates.values
-    a = np.einsum("ijk,ijl,ij->kl", z, z, slopes)
     c = mixed_moment_derivative(covariates, slopes)
-    h = a - c @ jac.solve(c.T)
+    h, _chol = _information(covariates, slopes, c, jac.solve(c.T))
+    return h
+
+
+def _information(covariates, slopes, c, x_c) -> tuple:
+    """``H = A - C X_C`` with ``A = sum_ij z z^T mu'`` and ``X_C = V^{-1}
+    C^T``, plus its lower Cholesky factor.  Raises ``IllPosedError``
+    unless ``H`` is symmetric positive definite."""
+    z = covariates.values
+    h = np.einsum("ijk,ijl,ij->kl", z, z, slopes) - c @ x_c
     h = 0.5 * (h + h.T)
     try:
-        np.linalg.cholesky(h)
+        chol = np.linalg.cholesky(h)
     except np.linalg.LinAlgError as exc:
         raise IllPosedError(
             "profiled information matrix is not positive definite; "
             "the coefficient estimate is ill-posed (degenerate covariates?)"
         ) from exc
-    return h
+    return h, chol
 
 
 def mixed_moment_derivative(
@@ -560,10 +517,25 @@ def fit(
 ) -> FitResult:
     """Fit the model by the method of moments.
 
-    Outer Newton on ``gamma`` with direction ``-H^{-1} Q`` and step
-    halving, refreshing the inner degree solve (warm-started from the
-    previous solution) at every trial point.  With ``p = 0`` this reduces
-    to the pure bipartite degree model and a single inner solve.
+    One damped Newton iteration on ``(theta, gamma)``.  With degree and
+    covariate residuals ``f`` and ``q``, the structured Jacobian ``V``,
+    mixed derivatives ``C`` and ``A = sum_ij z z^T mu'``, each step solves
+
+        [ V  C^T ] [dtheta]   [f]
+        [ C   A  ] [dgamma] = [q]
+
+    by eliminating the degree block: one stacked solve ``V [x_f, X_C] =
+    [f, C^T]`` (a single Schur factorization), then ``dgamma = H^{-1} (q -
+    C x_f)`` with ``H = A - C X_C`` and ``dtheta = x_f - X_C dgamma``.  The
+    step is halved until ``max(|f|_inf, |q|_inf)`` decreases; a trial
+    point outside the family's working domain counts as a failed trial.
+    With ``p = 0`` this is Newton's method on the degree equations alone.
+
+    It stops once ``|f|_inf <= tol_inner`` and ``|q|_inf <= tol_outer``.
+    Raises ``NonExistenceError`` for infeasible degrees, a stall under
+    full damping or degree parameters escaping ``PARAM_CAP``,
+    ``MaxIterationsError`` after ``max_outer`` steps, and
+    ``IllPosedError`` when ``H`` is not positive definite.
     """
     if family is None:
         raise ValueError("family is required")
@@ -577,95 +549,116 @@ def fit(
     if family.support == "binary" and not graph.is_binary:
         raise DataError("binary family requires a 0/1 weight matrix")
 
-    m, n, p = graph.m, graph.n, covariates.p
-    gamma = np.zeros(p)
-    # The profiled residuals inherit the inner solve's error, so drive the
-    # inner solves well below the outer tolerance (floored near machine
-    # precision at the data's scale); the user-facing tolerances still
-    # govern the convergence verdict.
-    if p:
-        deg = degrees(graph)
-        floor = 16.0 * np.finfo(float).eps * max(1.0, deg.d.max(), deg.b.max())
-        inner_tol = max(min(options.tol_inner, 1e-3 * options.tol_outer), floor)
-        inner_options = replace(options, tol_inner=inner_tol)
-    else:
-        inner_options = options
-    q, params, inner_trace = _profiled(gamma, graph, covariates, family, inner_options)
-    qnorm = float(np.abs(q).max()) if p else 0.0
-    trace = [
-        IterationRecord(
-            outer_iteration=0,
-            inner_iterations=len(inner_trace),
-            degree_norm=inner_trace[-1],
-            covariate_norm=qnorm,
-        )
-    ]
-
-    outer_converged = qnorm <= options.tol_outer
-    if p and not outer_converged:
-        for outer_it in range(1, options.max_outer + 1):
-            h = profile_jacobian(params, covariates, family)
-            step = np.linalg.solve(h, q)
-            scale = 1.0
-            accepted = False
-            for _ in range(options.max_halvings + 1):
-                trial_gamma = gamma - scale * step
-                try:
-                    trial_q, trial_params, inner_trace = _profiled(
-                        trial_gamma, graph, covariates, family, inner_options,
-                        warm_start=params.theta,
-                    )
-                except NonExistenceError:
-                    scale *= 0.5
-                    continue
-                trial_norm = float(np.abs(trial_q).max())
-                if trial_norm < qnorm:
-                    gamma, params, q, qnorm = (
-                        trial_gamma, trial_params, trial_q, trial_norm,
-                    )
-                    accepted = True
-                    break
-                scale *= 0.5
-            if not accepted:
-                raise MaxIterationsError(
-                    "outer Newton stalled under full damping",
-                    trace=[r.covariate_norm for r in trace],
-                )
-            trace.append(
-                IterationRecord(
-                    outer_iteration=outer_it,
-                    inner_iterations=len(inner_trace),
-                    degree_norm=inner_trace[-1],
-                    covariate_norm=qnorm,
-                )
-            )
-            if qnorm <= options.tol_outer:
-                outer_converged = True
-                break
-        if not outer_converged:
-            raise MaxIterationsError(
-                f"outer Newton did not reach tolerance in {options.max_outer} "
-                "iterations",
-                trace=[r.covariate_norm for r in trace],
-            )
-
-    residuals = MomentResiduals(
-        degree=degree_residuals(params, graph, covariates, family),
-        covariate=covariate_residuals(params, graph, covariates, family),
+    deg = degrees(graph)
+    _check_feasible_degrees(graph, deg, family)
+    theta = _initial_theta(graph, deg, family, options.init)
+    params, pi, residuals, trace = _damped_newton(
+        graph, covariates, family, deg, theta, np.zeros(covariates.p), options,
+        free_gamma=True,
     )
-    converged = (
-        residuals.degree_norm <= options.tol_inner
-        and residuals.covariate_norm <= options.tol_outer
-    )
-    jac = build_jacobian(params, covariates, family)
     return FitResult(
         params=params,
         residuals=residuals,
-        converged=converged,
+        converged=True,
         trace=tuple(trace),
-        jacobian_summary=jac.summary(),
+        jacobian_summary=StructuredJacobian(family.mean_d1(pi)).summary(),
         graph=graph,
         covariates=covariates,
         family=family,
         options=options,
     )
+
+
+def _damped_newton(graph, covariates, family, deg, theta, gamma, options, free_gamma):
+    """Damped Newton on the moment equations from ``(theta, gamma)``.
+
+    With ``free_gamma`` all m+n-1+p equations are solved (``fit``; at most
+    ``max_outer`` steps, then ``MaxIterationsError``); otherwise ``gamma``
+    stays fixed and only the degree equations are solved, so the
+    residuals carry no covariate part (``solve_degree_params``; at most
+    ``max_inner`` steps, then ``NonExistenceError``).  Returns ``(params,
+    predictor, residuals, trace)`` at the last accepted point.
+    """
+    m, n = graph.m, graph.n
+    observed_degrees = np.concatenate([deg.d, deg.b[:-1]])
+    if free_gamma:
+        observed_totals = np.einsum("ijk,ij->k", covariates.values, graph.weights)
+        max_steps, cap_error = options.max_outer, MaxIterationsError
+    else:
+        max_steps, cap_error = options.max_inner, NonExistenceError
+
+    def evaluate(theta, gamma):
+        params = ParameterSet.from_theta(theta, gamma, m, n)
+        pi = params.linear_predictor(covariates)
+        mu = family.mean(pi)
+        f = np.concatenate([mu.sum(axis=1), mu[:, :-1].sum(axis=0)]) - observed_degrees
+        if free_gamma:
+            q = np.einsum("ijk,ij->k", covariates.values, mu) - observed_totals
+        else:
+            q = np.zeros(0)
+        return params, pi, MomentResiduals(degree=f, covariate=q)
+
+    def merit(res):
+        return max(res.degree_norm, res.covariate_norm)
+
+    def merit_trace():
+        return [max(rec.degree_norm, rec.covariate_norm) for rec in trace]
+
+    try:
+        params, pi, res = evaluate(theta, gamma)
+    except DomainError as exc:
+        raise NonExistenceError(
+            f"starting point lies outside the family's working domain: {exc}"
+        ) from exc
+    trace = [IterationRecord(0, 0, res.degree_norm, res.covariate_norm)]
+    while res.degree_norm > options.tol_inner or res.covariate_norm > options.tol_outer:
+        step_index = len(trace)
+        if step_index > max_steps:
+            raise cap_error(
+                f"Newton iteration did not reach tolerance in {max_steps} steps",
+                trace=merit_trace(),
+            )
+        dtheta, dgamma = _newton_direction(family.mean_d1(pi), covariates, res)
+        for halvings in range(options.max_halvings + 1):
+            scale = 0.5**halvings
+            trial_theta, trial_gamma = theta - scale * dtheta, gamma - scale * dgamma
+            try:
+                trial = evaluate(trial_theta, trial_gamma)
+            except DomainError:
+                continue  # trial point left the family's working domain
+            if merit(trial[2]) < merit(res):
+                break
+        else:
+            raise NonExistenceError(
+                "Newton iteration stalled under full damping; "
+                "no finite solution found",
+                trace=merit_trace(),
+            )
+        theta, gamma = trial_theta, trial_gamma
+        params, pi, res = trial
+        trace.append(
+            IterationRecord(step_index, halvings, res.degree_norm, res.covariate_norm)
+        )
+        if np.abs(theta).max() > PARAM_CAP:
+            raise NonExistenceError(
+                f"degree parameter escaped [-{PARAM_CAP:g}, {PARAM_CAP:g}]; "
+                "the moment equations appear to have no finite solution",
+                trace=merit_trace(),
+            )
+    return params, pi, res, trace
+
+
+def _newton_direction(slopes, covariates: CovariateTensor, res: MomentResiduals):
+    """Newton direction ``(dtheta, dgamma)`` at a point with mean slopes
+    ``slopes`` and residuals ``res``, by block elimination of the degree
+    equations (see ``fit``).  Residuals without a covariate part (``p =
+    0``, or ``gamma`` held fixed) give the degree-only direction."""
+    jac = StructuredJacobian(slopes)
+    if res.covariate.size == 0:
+        return jac.solve(res.degree), np.zeros(covariates.p)
+    c = mixed_moment_derivative(covariates, slopes)
+    x = jac.solve(np.column_stack([res.degree, c.T]))
+    x_f, x_c = x[:, 0], x[:, 1:]
+    _h, chol = _information(covariates, slopes, c, x_c)
+    dgamma = scipy.linalg.cho_solve((chol, True), res.covariate - c @ x_f)
+    return x_f - x_c @ dgamma, dgamma

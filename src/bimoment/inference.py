@@ -76,7 +76,8 @@ def approx_inverse(jacobian: StructuredJacobian) -> InverseApproximation:
 
 
 def exact_inverse_apply(jacobian: StructuredJacobian, vec: np.ndarray) -> np.ndarray:
-    """Exact inverse application via the shared Schur-complement solve."""
+    """Alias of ``StructuredJacobian.solve``, left out of the package
+    exports; ``bench/tracer.py`` still wraps it by name."""
     return jacobian.solve(vec)
 
 

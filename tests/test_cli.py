@@ -286,3 +286,21 @@ class TestEnvironmentOverrides:
         assert rc == EXIT_OK
         sidecar = json.loads((tmp_path / "out" / "fit.json").read_text())
         assert sidecar["m"] == 2 and sidecar["n"] == 2
+
+    @pytest.mark.parametrize("variable, argv", [
+        ("BIMOMENT_TOL", ["fit", "edges.tsv"]),
+        ("BIMOMENT_MAX_ITER", ["fit", "edges.tsv"]),
+        ("BIMOMENT_SEED", ["fit", "edges.tsv"]),
+        ("BIMOMENT_THREADS", ["fit", "edges.tsv"]),
+        ("BIMOMENT_THREADS", ["simulate", "scenario.json"]),
+    ])
+    def test_malformed_numeric_environment_is_usage_error(
+        self, monkeypatch, capsys, variable, argv
+    ):
+        monkeypatch.setenv(variable, "abc")
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "invalid" in err and "'abc'" in err
+        assert "Traceback" not in err

@@ -13,6 +13,8 @@ from bimoment import (
     BipartiteGraph,
     CovariateTensor,
     DataError,
+    DomainError,
+    FitError,
     FitOptions,
     IllPosedError,
     NonExistenceError,
@@ -22,19 +24,27 @@ from bimoment import (
     degree_residuals,
     degrees,
     fit,
+    generate_covariates,
+    generate_truth,
     get_family,
     profile_jacobian,
     profiled_residuals,
     simulate_network,
     solve_degree_params,
-    solve_structured,
 )
+from bimoment.families import LogisticFamily, PoissonFamily
 from bimoment.fitter import StructuredJacobian, mixed_moment_derivative
+from bimoment.simlab import Scenario, run_replication
 
 from conftest import feasible_instance
 
 LOGISTIC = get_family("logistic")
 POISSON = get_family("poisson")
+
+# A Poisson scenario whose truth reaches a predictor of 28, close to the
+# family's cap of 30: Newton trials from the starting point overshoot it.
+EXTREME_POISSON = Scenario(m=20, n=20, L=10.0, gamma_star=(4.0, 4.0),
+                           family="poisson", replications=10, seed=3)
 
 
 def brute_force_residuals(params, graph, cov, family):
@@ -155,7 +165,7 @@ class TestStructuredSolve:
         graph, cov, truth = feasible_instance(rng, 5, 4, 1, LOGISTIC)
         jac = build_jacobian(truth, cov, LOGISTIC)
         rhs = rng.normal(size=jac.dim)
-        x = solve_structured(jac, rhs)
+        x = jac.solve(rhs)
         assert np.abs(jac.dense() @ x - rhs).max() < 1e-10
 
     def test_agrees_with_dense_solver(self, rng):
@@ -195,6 +205,12 @@ class TestInnerSolve:
         with pytest.raises(NonExistenceError, match="degree 0"):
             solve_degree_params(np.zeros(0), graph, CovariateTensor.empty(3, 2),
                                 LOGISTIC)
+
+    def test_out_of_domain_warm_start_is_nonexistent(self, rng):
+        graph, cov, _ = feasible_instance(rng, 5, 4, 1, POISSON)
+        warm = np.full(5 + 4 - 1, 31.0)
+        with pytest.raises(NonExistenceError, match="working domain"):
+            solve_degree_params(np.zeros(1), graph, cov, POISSON, warm_start=warm)
 
     def test_saturated_actor_is_nonexistent(self):
         weights = np.array([[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
@@ -244,6 +260,67 @@ class TestProfiledResiduals:
         result = fit(graph, cov, LOGISTIC)
         q = profiled_residuals(result.params.gamma, graph, cov, LOGISTIC)
         assert np.abs(q).max() <= result.options.tol_outer * 10
+
+
+class TestJointSolver:
+    def test_profile_api_agrees_with_fit(self, rng):
+        graph, cov, _ = feasible_instance(rng, 15, 12, 2, LOGISTIC)
+        result = fit(graph, cov, LOGISTIC)
+        gamma = result.params.gamma
+        q = profiled_residuals(gamma, graph, cov, LOGISTIC)
+        assert np.abs(q).max() <= result.options.tol_outer
+        params, _ = solve_degree_params(gamma, graph, cov, LOGISTIC,
+                                        FitOptions(tol_inner=1e-12))
+        assert np.abs(params.theta - result.params.theta).max() < 1e-9
+
+    def test_few_joint_steps_on_dense_logistic(self):
+        class CountingLogistic(LogisticFamily):
+            slope_evals = 0
+
+            def mean_d1(self, eta):
+                self.slope_evals += 1
+                return super().mean_d1(eta)
+
+        rng = np.random.default_rng([20260810, 100])
+        truth = generate_truth(100, 100, 0.0, (0.5, 1.0))
+        cov = generate_covariates(100, 100, "sign-product-2d", rng)
+        graph = simulate_network(truth, cov, LOGISTIC, rng)
+        family = CountingLogistic()
+        result = fit(graph, cov, family)
+        assert result.converged
+        steps = result.trace[-1].outer_iteration
+        assert [rec.outer_iteration for rec in result.trace] == list(range(steps + 1))
+        assert steps <= 8
+        # one linearization per joint step, plus one for the Jacobian summary
+        assert family.slope_evals == steps + 1
+
+    def test_out_of_domain_trials_are_halved(self):
+        class CountingPoisson(PoissonFamily):
+            domain_errors = 0
+
+            def mean(self, eta):
+                try:
+                    return super().mean(eta)
+                except DomainError:
+                    self.domain_errors += 1
+                    raise
+
+        sc = EXTREME_POISSON
+        rng = np.random.default_rng([sc.seed, 8])
+        truth = generate_truth(sc.m, sc.n, sc.L, sc.gamma_star)
+        cov = generate_covariates(sc.m, sc.n, sc.scheme, rng)
+        family = CountingPoisson()
+        graph = simulate_network(truth, cov, family, rng)
+        try:
+            fit(graph, cov, family)
+        except FitError:
+            pass
+        assert family.domain_errors > 0
+
+    def test_out_of_domain_replication_is_recorded(self):
+        record = run_replication(EXTREME_POISSON, 8)
+        assert record.replication == 8
+        assert not record.converged
 
 
 class TestProfileJacobian:
