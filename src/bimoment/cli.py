@@ -52,6 +52,7 @@ from .errors import (
     DataError,
     IllPosedError,
     MaxIterationsError,
+    ModelDegeneracyError,
     NonExistenceError,
     SingularJacobianError,
 )
@@ -383,7 +384,12 @@ def main(argv=None) -> int:
     except (DataError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (NonExistenceError, MaxIterationsError, SingularJacobianError) as exc:
+    except (
+        NonExistenceError,
+        MaxIterationsError,
+        SingularJacobianError,
+        ModelDegeneracyError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NONEXISTENT
     except IllPosedError as exc:

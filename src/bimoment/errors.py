@@ -2,7 +2,7 @@
 
 The CLI maps these onto exit codes, so keep the taxonomy stable:
 input problems (``DataError``, ``ConfigError``) are distinct from
-fitting failures (``NonExistenceError``, ``MaxIterationsError``) and
+fitting failures (``FitError`` and its subclasses) and
 from ill-posed inference (``IllPosedError``).
 """
 
@@ -29,11 +29,6 @@ class DomainError(BimomentError):
     """Value outside a family's working domain or support."""
 
 
-class ModelDegeneracyError(BimomentError):
-    """Mean-slope values are not strictly positive, so the degree-equation
-    Jacobian leaves its diagonally dominant matrix class."""
-
-
 class FitError(BimomentError):
     """Base class for fitting failures; carries the residual-norm trace."""
 
@@ -53,6 +48,11 @@ class MaxIterationsError(FitError):
 
 class SingularJacobianError(FitError):
     """Factorization of the degree-equation Jacobian failed."""
+
+
+class ModelDegeneracyError(FitError):
+    """Mean-slope values are not strictly positive, so the degree-equation
+    Jacobian leaves its diagonally dominant matrix class."""
 
 
 class IllPosedError(BimomentError):

@@ -20,8 +20,10 @@ their model expectations:
 The solver is one damped Newton iteration on the joint vector
 ``(theta, gamma)`` (``theta``: alpha, then beta[:-1]).  Each step solves
 the degree block, diagonally dominant with two diagonal blocks plus a
-dense cross block, exactly via a Schur complement on the actor block, and
-eliminates ``gamma`` through the p x p information matrix ``H``.  The
+dense cross block, exactly: it eliminates the larger of the two diagonal
+blocks and factors the Schur complement of the smaller one, so a step
+costs O(mn min(m, n)) rather than O(n^3).  ``gamma`` is eliminated
+through the p x p information matrix ``H``.  The
 degree solve at fixed ``gamma`` and the profiled covariate residuals stay
 as the profile API, the reference against which ``H`` is checked.
 
@@ -161,8 +163,11 @@ class StructuredJacobian:
 
     which is symmetric, nonnegative, diagonally dominant (the actor rows
     carry a surplus of ``w_in``, the dropped event column) and therefore
-    positive definite.  Solves go through the Schur complement on the
-    actor block: only the dense (n-1) x (n-1) complement is factored.
+    positive definite.  Solves eliminate the larger diagonal block and
+    factor the Schur complement of the smaller one: the m x m complement
+    ``diag_alpha - W diag_beta^{-1} W^T`` (``W = cross``) when
+    ``m <= n-1``, the (n-1) x (n-1) complement on the event side
+    otherwise.  Either way the solve is exact.
     """
 
     def __init__(self, slopes: np.ndarray):
@@ -176,6 +181,7 @@ class StructuredJacobian:
         self.slopes = slopes
         self.m, self.n = slopes.shape
         self.dim = self.m + self.n - 1
+        self._keeps_actors = self.m <= self.n - 1
 
     @cached_property
     def diag_alpha(self) -> np.ndarray:
@@ -206,16 +212,34 @@ class StructuredJacobian:
         return float(self.slopes[:, -1].sum())
 
     @cached_property
+    def _sides(self) -> tuple:
+        """``(kept, elim, d_kept, d_elim, cross_ke)``: the coordinate slices
+        of the kept (smaller) and the eliminated block, their diagonals,
+        and the cross block oriented kept x eliminated."""
+        actors, events = slice(0, self.m), slice(self.m, self.dim)
+        if self._keeps_actors:
+            return actors, events, self.diag_alpha, self.diag_beta, self.cross
+        return events, actors, self.diag_beta, self.diag_alpha, self.cross.T
+
+    @cached_property
     def _schur_factor(self):
-        """Cholesky factor of diag_beta - cross^T diag_alpha^{-1} cross."""
-        if self.n == 1:
+        """Cholesky factor of the kept block's Schur complement
+        ``diag(d_kept) - cross_ke diag(d_elim)^{-1} cross_ke^T``, or
+        ``None`` when the kept block is empty (a single event)."""
+        _kept, _elim, d_kept, d_elim, cross_ke = self._sides
+        if d_kept.size == 0:
             return None
-        g = self.cross / self.diag_alpha[:, None]
-        complement = np.diag(self.diag_beta) - self.cross.T @ g
+        g = cross_ke.T / d_elim[:, None]
+        complement = np.diag(d_kept) - cross_ke @ g
         try:
             return scipy.linalg.cho_factor(complement, lower=True)
         except scipy.linalg.LinAlgError as exc:
             raise SingularJacobianError(f"Schur complement not PD: {exc}") from exc
+
+    def _complement_solve(self, rhs: np.ndarray) -> np.ndarray:
+        if self._schur_factor is None:
+            return rhs
+        return scipy.linalg.cho_solve(self._schur_factor, rhs)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve ``V x = rhs`` exactly; accepts a vector or a matrix of
@@ -223,30 +247,28 @@ class StructuredJacobian:
         rhs = np.asarray(rhs, dtype=float)
         vector_in = rhs.ndim == 1
         r = rhs.reshape(self.dim, -1)
-        ra, rb = r[: self.m], r[self.m :]
-        xa0 = ra / self.diag_alpha[:, None]
-        if self.n == 1:
-            x = xa0
-        else:
-            xb = scipy.linalg.cho_solve(self._schur_factor, rb - self.cross.T @ xa0)
-            xa = xa0 - (self.cross @ xb) / self.diag_alpha[:, None]
-            x = np.vstack([xa, xb])
+        kept, elim, _d_kept, d_elim, cross_ke = self._sides
+        x_e0 = r[elim] / d_elim[:, None]
+        x_k = self._complement_solve(r[kept] - cross_ke @ x_e0)
+        x = np.empty_like(r)
+        x[kept] = x_k
+        x[elim] = x_e0 - (cross_ke.T @ x_k) / d_elim[:, None]
         return x[:, 0] if vector_in else x
 
     def inverse_blocks(self):
-        """Blocks of the exact inverse needed by the inference formulas:
-        the actor-diagonal, the dense actor-event block, and the dense
-        event block.  Returns ``(inv_alpha_diag, inv_cross, inv_beta)``.
-        """
-        if self.n == 1:
-            return 1.0 / self.diag_alpha, np.zeros((self.m, 0)), np.zeros((0, 0))
-        inv_beta = scipy.linalg.cho_solve(self._schur_factor, np.eye(self.n - 1))
-        g = self.cross / self.diag_alpha[:, None]
-        inv_cross = -g @ inv_beta
-        inv_alpha_diag = 1.0 / self.diag_alpha + np.einsum(
-            "ij,ij->i", g @ inv_beta, g
-        )
-        return inv_alpha_diag, inv_cross, inv_beta
+        """The parts of the exact inverse the inference formulas read:
+        ``(inv_alpha_diag, inv_cross, inv_beta_diag)``, the diagonal of the
+        actor block (length m), the dense actor-event block (m x (n-1)) and
+        the diagonal of the event block (length n-1)."""
+        _kept, _elim, d_kept, d_elim, cross_ke = self._sides
+        inv_kept = self._complement_solve(np.eye(d_kept.size))
+        g = cross_ke.T / d_elim[:, None]
+        g_inv = g @ inv_kept
+        inv_elim_diag = 1.0 / d_elim + np.einsum("ij,ij->i", g_inv, g)
+        inv_kept_diag = np.diag(inv_kept).copy()
+        if self._keeps_actors:
+            return inv_kept_diag, -g_inv.T, inv_elim_diag
+        return inv_elim_diag, -g_inv, inv_kept_diag
 
     def dense(self) -> np.ndarray:
         """Materialize the full (m+n-1) x (m+n-1) matrix (for tests and

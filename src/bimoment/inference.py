@@ -151,12 +151,17 @@ def coefficient_covariance(fit: FitResult, method: str = "fisher") -> np.ndarray
     function equals the mean slope.
     """
     _require_converged(fit)
+    return _covariance_from_information(
+        fit, profile_jacobian(fit.params, fit.covariates, fit.family), method
+    )
+
+
+def _covariance_from_information(fit: FitResult, h: np.ndarray, method: str):
+    """``coefficient_covariance`` given the profiled information ``H``."""
     if method not in ("fisher", "sandwich"):
         raise ConfigError(f"unknown covariance method {method!r}")
-    p = fit.covariates.p
-    if p == 0:
+    if fit.covariates.p == 0:
         return np.zeros((0, 0))
-    h = profile_jacobian(fit.params, fit.covariates, fit.family)
     h_inv = np.linalg.inv(h)
     if method == "fisher":
         cov = h_inv
@@ -179,9 +184,9 @@ def _pair_inverse_quadratics(fit: FitResult, use_approx: bool) -> np.ndarray:
         inv_beta = np.concatenate([1.0 / jac.diag_beta, [1.0 / jac.v_tail]])
         q[:] = inv_alpha[:, None] + inv_beta[None, :]
     else:
-        inv_alpha_diag, inv_cross, inv_beta = jac.inverse_blocks()
+        inv_alpha_diag, inv_cross, inv_beta_diag = jac.inverse_blocks()
         q[:, : n - 1] = (
-            inv_alpha_diag[:, None] + 2.0 * inv_cross + np.diag(inv_beta)[None, :]
+            inv_alpha_diag[:, None] + 2.0 * inv_cross + inv_beta_diag[None, :]
         )
         q[:, n - 1] = inv_alpha_diag
     return q
@@ -273,7 +278,8 @@ class GammaInference:
 def coefficient_inference(fit: FitResult, method: str = "fisher") -> GammaInference:
     """One-stop coefficient inference: covariance, SEs, bias correction."""
     _require_converged(fit)
-    cov = coefficient_covariance(fit, method)
+    h = profile_jacobian(fit.params, fit.covariates, fit.family)
+    cov = _covariance_from_information(fit, h, method)
     p = fit.covariates.p
     if p == 0:
         empty = np.zeros(0)
@@ -282,8 +288,7 @@ def coefficient_inference(fit: FitResult, method: str = "fisher") -> GammaInfere
         b_star = incidental_bias_expfam(fit)
     else:
         b_star = incidental_bias_general(fit)
-    h_bar = profile_jacobian(fit.params, fit.covariates, fit.family) / fit.n_edges
-    gamma_bc = bias_corrected_coefficients(fit, b_star, h_bar)
+    gamma_bc = bias_corrected_coefficients(fit, b_star, h / fit.n_edges)
     return GammaInference(
         estimate=fit.params.gamma.copy(),
         covariance=cov,

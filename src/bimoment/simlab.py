@@ -28,7 +28,7 @@ from scipy.stats import norm
 
 from .data import BipartiteGraph, CovariateTensor
 from .errors import ConfigError, FitError, IllPosedError
-from .families import ModelFamily, get_family
+from .families import POISSON_ETA_CAP, ModelFamily, get_family
 from .fitter import FitOptions, FitResult, ParameterSet, fit
 from .inference import coefficient_inference, node_standard_errors
 
@@ -61,7 +61,15 @@ class Scenario:
                 f"unknown covariate scheme {self.scheme!r}; "
                 f"known: {', '.join(COVARIATE_SCHEMES)}"
             )
-        get_family(self.family)  # validate eagerly
+        family = get_family(self.family)  # validate eagerly
+        # the sign-product covariates are +-1, so the truth's predictor
+        # reaches 2 max(L, 0) + sum |gamma*|
+        largest = 2.0 * max(self.L, 0.0) + sum(abs(g) for g in self.gamma_star)
+        if family.name == "poisson" and largest > POISSON_ETA_CAP:
+            raise ConfigError(
+                f"poisson truth reaches a predictor of {largest:g}, beyond the "
+                f"family's working cap of {POISSON_ETA_CAP:g}"
+            )
 
     @classmethod
     def from_dict(cls, raw: Mapping) -> "Scenario":

@@ -143,6 +143,10 @@ class TestStructuredJacobian:
         # positive definite
         np.linalg.cholesky(dense)
 
+    def test_nonpositive_slope_is_a_fit_error(self):
+        with pytest.raises(FitError):
+            StructuredJacobian([[0.1, 0.0], [0.2, 0.3]])
+
     def test_tail_weights(self, rng):
         graph, cov, truth = feasible_instance(rng, 5, 4, 1, POISSON)
         jac = build_jacobian(truth, cov, POISSON)
@@ -180,6 +184,25 @@ class TestStructuredSolve:
         jac = StructuredJacobian(np.full((3, 1), 0.2))
         x = jac.solve(np.array([1.0, 2.0, 3.0]))
         np.testing.assert_allclose(x, np.array([5.0, 10.0, 15.0]))
+
+    # m < n-1, the boundary m == n-1 and m = 1 keep the actor block;
+    # m > n-1 and the single event keep the event block
+    @pytest.mark.parametrize("shape", [(3, 9), (5, 6), (6, 5), (9, 3), (1, 5), (4, 1)])
+    def test_both_elimination_sides_match_dense_inverse(self, rng, shape):
+        m = shape[0]
+        jac = StructuredJacobian(rng.uniform(0.05, 0.25, size=shape))
+        v_inv = np.linalg.inv(jac.dense())
+        vec = rng.normal(size=jac.dim)
+        stacked = rng.normal(size=(jac.dim, 3))
+        np.testing.assert_allclose(jac.solve(vec), v_inv @ vec, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(jac.solve(stacked), v_inv @ stacked, rtol=0,
+                                   atol=1e-10)
+        inv_alpha_diag, inv_cross, inv_beta_diag = jac.inverse_blocks()
+        np.testing.assert_allclose(inv_alpha_diag, np.diag(v_inv)[:m], rtol=0,
+                                   atol=1e-10)
+        np.testing.assert_allclose(inv_cross, v_inv[:m, m:], rtol=0, atol=1e-10)
+        np.testing.assert_allclose(inv_beta_diag, np.diag(v_inv)[m:], rtol=0,
+                                   atol=1e-10)
 
 
 class TestInnerSolve:

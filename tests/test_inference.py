@@ -31,8 +31,9 @@ from bimoment import (
     wald_test,
     write_report,
 )
+from bimoment import inference
 from bimoment.errors import ConfigError
-from bimoment.fitter import FitResult, profile_jacobian
+from bimoment.fitter import FitResult, mixed_moment_derivative, profile_jacobian
 from bimoment.inference import REPORT_HEADER, components_from_fit, wald_from_components
 
 from conftest import checkerboard_graph, feasible_instance
@@ -151,10 +152,10 @@ class TestExactInverse:
         graph, cov, truth = feasible_instance(rng, 7, 5, 1, LOGISTIC)
         jac = build_jacobian(truth, cov, LOGISTIC)
         v_inv = np.linalg.inv(jac.dense())
-        inv_alpha_diag, inv_cross, inv_beta = jac.inverse_blocks()
+        inv_alpha_diag, inv_cross, inv_beta_diag = jac.inverse_blocks()
         np.testing.assert_allclose(inv_alpha_diag, np.diag(v_inv)[:7], atol=1e-10)
         np.testing.assert_allclose(inv_cross, v_inv[:7, 7:], atol=1e-10)
-        np.testing.assert_allclose(inv_beta, v_inv[7:, 7:], atol=1e-10)
+        np.testing.assert_allclose(inv_beta_diag, np.diag(v_inv)[7:], atol=1e-10)
 
 
 class TestNodeStandardErrors:
@@ -209,6 +210,33 @@ class TestCoefficientCovariance:
         result = fit(graph, cov, LOGISTIC)
         with pytest.raises(ConfigError):
             coefficient_covariance(result, "bootstrap")
+
+    def test_wide_shape_standard_errors_match_dense_fisher(self, rng):
+        # m < n-1: the structured solves factor the actor-side complement
+        graph, cov, _ = feasible_instance(rng, 8, 40, 2, LOGISTIC)
+        result = fit(graph, cov, LOGISTIC)
+        jac = result.jacobian
+        c = mixed_moment_derivative(cov, jac.slopes)
+        a = np.einsum("ijk,ijl,ij->kl", cov.values, cov.values, jac.slopes)
+        joint_fisher = np.block([[jac.dense(), c.T], [c, a]])
+        gamma_cov = np.linalg.inv(joint_fisher)[jac.dim:, jac.dim:]
+        np.testing.assert_allclose(
+            coefficient_inference(result).standard_errors,
+            np.sqrt(np.diag(gamma_cov)), rtol=0, atol=1e-8,
+        )
+
+    def test_information_computed_once_per_inference(self, rng, monkeypatch):
+        graph, cov, _ = feasible_instance(rng, 10, 8, 2, LOGISTIC)
+        result = fit(graph, cov, LOGISTIC)
+        calls = []
+
+        def counting_profile_jacobian(*args):
+            calls.append(args)
+            return profile_jacobian(*args)
+
+        monkeypatch.setattr(inference, "profile_jacobian", counting_profile_jacobian)
+        coefficient_inference(result)
+        assert len(calls) == 1
 
 
 class TestIncidentalBias:

@@ -18,6 +18,8 @@ from bimoment import (
     run_scenario,
     simulate_network,
 )
+from bimoment import simlab
+from bimoment.errors import ModelDegeneracyError
 from bimoment.simlab import (
     density_level_menu,
     run_replication,
@@ -131,6 +133,12 @@ class TestScenario:
             Scenario.from_dict({"m": 10, "n": 10, "L": 0.0, "gamma_star": [],
                                 "bogus": 1})
 
+    def test_out_of_domain_poisson_truth_rejected(self):
+        # 2 * 15 + 5 + 5 = 40 exceeds the family's predictor cap of 30
+        with pytest.raises(ConfigError):
+            Scenario(m=20, n=20, L=15.0, gamma_star=(5.0, 5.0), family="poisson",
+                     replications=3, seed=1)
+
     def test_unknown_family_rejected(self):
         with pytest.raises(ConfigError):
             Scenario(m=10, n=10, L=0.0, gamma_star=(), family="probit")
@@ -181,6 +189,14 @@ class TestRunScenario:
             (1.0 - summary.nonconvergence_rate) * 40)
         # aggregates exist and are finite despite failures
         assert all(np.isfinite(v) for v in summary.mae.values())
+
+    def test_model_degeneracy_is_a_failed_replication(self, monkeypatch):
+        def degenerate_fit(*args):
+            raise ModelDegeneracyError("mean slopes must be strictly positive")
+
+        monkeypatch.setattr(simlab, "fit", degenerate_fit)
+        record = run_replication(self.SMALL, 0)
+        assert not record.converged
 
     def test_coefficient_error_much_smaller_than_node_error(self):
         scenario = Scenario(m=60, n=50, L=0.0, gamma_star=(0.5, 1.0),
