@@ -20,10 +20,11 @@ index, 0 for the starting point; ``inner_iterations`` is the number of
 step halvings the step needed; ``degree_norm`` and ``covariate_norm``
 are the sup norms of the degree and covariate residuals after the step.
 
-Exit codes: 0 success, 2 config/parse error, 3 nonexistent solution,
-4 ill-posed inference, 5 internal error.  Every flag can be supplied via
-an environment variable with the ``BIMOMENT_`` prefix (dashes become
-underscores, e.g. ``BIMOMENT_MIN_DEGREE=40``).
+Exit codes: 0 success, 2 config/parse error, 3 fitting failure (any
+``FitError``: no finite solution, no convergence, or inference asked of
+an unconverged fit), 4 ill-posed inference, 5 internal error.  Every flag
+can be supplied via an environment variable with the ``BIMOMENT_``
+prefix (dashes become underscores, e.g. ``BIMOMENT_MIN_DEGREE=40``).
 """
 
 from __future__ import annotations
@@ -50,11 +51,8 @@ from .errors import (
     BimomentError,
     ConfigError,
     DataError,
+    FitError,
     IllPosedError,
-    MaxIterationsError,
-    ModelDegeneracyError,
-    NonExistenceError,
-    SingularJacobianError,
 )
 from .families import get_family
 from .fitter import FitOptions, fit
@@ -384,12 +382,7 @@ def main(argv=None) -> int:
     except (DataError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (
-        NonExistenceError,
-        MaxIterationsError,
-        SingularJacobianError,
-        ModelDegeneracyError,
-    ) as exc:
+    except FitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NONEXISTENT
     except IllPosedError as exc:

@@ -10,7 +10,11 @@ All containers are immutable after construction and safe to share.
 
 from __future__ import annotations
 
+import operator
+from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import compress, count, repeat
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -170,6 +174,157 @@ def degrees(graph: BipartiteGraph) -> DegreeVector:
     return DegreeVector(d=graph.weights.sum(axis=1), b=graph.weights.sum(axis=0))
 
 
+# Characters of text parsed at a time (about 5k lines of a ratings file):
+# enough lines that the column-wise passes amortize, few enough that the
+# block's strings and token lists stay small next to the graph itself.
+_BLOCK_CHARS = 1 << 16
+
+# The first check a line fails, in the order the checks apply (0 = none).
+_COLUMNS, _EMPTY_ID, _BAD_WEIGHT, _OUT_OF_RANGE, _NOT_BINARY = 1, 2, 3, 4, 5
+
+
+def _line_blocks(fh):
+    """Yield ``(number of the first line, text)`` for consecutive blocks of
+    whole lines of ``fh``, each block's lines joined by newlines.
+
+    The last block is the text after the file's last newline, so it is
+    empty (one blank line) when the file ends with a newline.
+    """
+    first_line, pending = 1, []
+    for chunk in iter(partial(fh.read, _BLOCK_CHARS), ""):
+        cut = chunk.rfind("\n")
+        if cut < 0:
+            pending.append(chunk)
+            continue
+        pending.append(chunk[:cut])
+        text = "".join(pending)
+        pending = [chunk[cut + 1:]]
+        yield first_line, text
+        first_line += text.count("\n") + 1
+    yield first_line, "".join(pending)
+
+
+def _float_or_none(text):
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+
+def _floats(texts) -> tuple:
+    """``float`` of each string, and the mask of those it accepts (the
+    others read nan)."""
+    try:
+        return np.fromiter(map(float, texts), float, len(texts)), np.ones(len(texts), bool)
+    except ValueError:
+        values = list(map(_float_or_none, texts))
+        parsed = np.fromiter(map(operator.is_not, values, repeat(None)), bool, len(values))
+        return np.array(values, dtype=float), parsed
+
+
+def _parse_block(text, delimiter, mode, binarize, strict) -> tuple:
+    """Check and parse the lines of one block, column-wise.
+
+    Returns ``(lines, actors, events, weights, fault)``: the block-relative
+    indices of the accepted lines before the block's first faulty line,
+    their stripped ids and their weights, and ``(index, message)`` for
+    that faulty line (None when the block has none).  In permissive mode
+    the lines it skips are neither accepted nor faulty.
+    """
+    n_lines = text.count("\n") + 1
+    if delimiter and "\n" not in delimiter:
+        # universal-newline reading leaves no "\r" in the text, so "\r" can
+        # stand for the delimiter: a line has one column more than "\r"s,
+        # and each "\r" lies on the line of the newlines before it
+        marks = np.frombuffer(text.replace(delimiter, "\r").encode(), np.uint8)
+        line_of = np.searchsorted(
+            np.flatnonzero(marks == ord("\n")), np.flatnonzero(marks == ord("\r"))
+        )
+        ncols = np.bincount(line_of, minlength=n_lines) + 1
+    else:
+        ncols = np.ones(n_lines, np.intp)     # no line can be split
+    unsure = ncols < 2                          # lines that may be blank
+    fault = np.where(unsure, _COLUMNS, 0)
+    cand = np.flatnonzero(~unsure)              # lines with both ids
+    actors, events, w = [], [], np.ones(cand.size)
+    if cand.size:
+        # a delimiter never spans a newline, so each line's tokens are
+        # ncols consecutive tokens of the whole block
+        tokens = np.array(text.replace(delimiter, "\n").split("\n"), dtype=object)
+        first = (np.cumsum(ncols) - ncols)[cand]
+        actors = list(map(str.strip, tokens[first]))
+        events = list(map(str.strip, tokens[first + 1]))
+        no_actor, no_event = (
+            np.fromiter(map(operator.not_, ids), bool, cand.size)
+            if "" in ids else np.zeros(cand.size, bool)
+            for ids in (actors, events)
+        )
+        unsure[cand] = no_actor & no_event      # a line with an id is not blank
+        given = ncols[cand] >= 3                # a blank weight column means 1
+        given[given] = np.fromiter(
+            map(bool, map(str.strip, tokens[first[given] + 2])), bool, given.sum()
+        )
+        values, parsed = _floats(tokens[first[given] + 2])
+        w[given] = values
+        bad_weight = np.zeros(cand.size, bool)
+        bad_weight[given] = ~parsed
+        if binarize:
+            w = np.where(w > 0, 1.0, 0.0)
+        fault[cand] = np.select(
+            [
+                strict & (ncols[cand] > 3),
+                no_actor | no_event,
+                bad_weight,
+                ~np.isfinite(w) | (w < 0),
+                (mode == "binary") & (w != 0) & (w != 1),
+            ],
+            [_COLUMNS, _EMPTY_ID, _BAD_WEIGHT, _OUT_OF_RANGE, _NOT_BINARY],
+        )
+    blank = np.zeros(n_lines, bool)
+    if unsure.any():
+        blank[unsure] = np.fromiter(
+            map(operator.not_, map(str.strip, compress(text.split("\n"), unsure))),
+            bool,
+            unsure.sum(),
+        )
+        fault[blank] = 0
+    if not delimiter and not blank.all():
+        raise ValueError("empty separator")     # what str.split raises
+    raises = fault >= (_COLUMNS if strict else _OUT_OF_RANGE)
+    stop = int(np.argmax(raises)) if raises.any() else n_lines
+    keep = (fault[cand] == 0) & ~blank[cand] & (cand < stop)
+    if not keep.all():
+        actors, events = list(compress(actors, keep)), list(compress(events, keep))
+    accepted = (cand[keep], actors, events, w[keep])
+    if stop == n_lines:
+        return accepted + (None,)
+    k = np.searchsorted(cand, stop)
+    if fault[stop] == _COLUMNS:
+        message = f"expected 2 or 3 columns, got {ncols[stop]}"
+    elif fault[stop] == _EMPTY_ID:
+        message = "empty node id"
+    elif fault[stop] == _BAD_WEIGHT:
+        message = f"bad weight {tokens[first[k] + 2]!r}"
+    elif fault[stop] == _OUT_OF_RANGE:
+        message = f"weight {float(w[k])!r} out of range"
+    else:
+        message = f"weight {float(w[k]):g} invalid for binary mode"
+    return accepted + ((stop, message),)
+
+
+def _indices(index: defaultdict, labels: list) -> np.ndarray:
+    """Positions of ``labels`` in ``index``, whose default factory numbers
+    each unseen label in order of first appearance."""
+    return np.fromiter(map(index.__getitem__, labels), np.intp, len(labels))
+
+
+def _first_repeat(keys: np.ndarray) -> int:
+    """Position of the first key equal to an earlier one (one must exist)."""
+    repeat = np.ones(keys.size, bool)
+    repeat[np.unique(keys, return_index=True)[1]] = False
+    return int(np.argmax(repeat))
+
+
 def load_edge_list(
     path,
     delimiter: str = "\t",
@@ -187,87 +342,71 @@ def load_edge_list(
     ``strict=False`` malformed rows and extra columns are skipped instead
     of raising; ``binarize`` coerces any positive weight to 1 (the usual
     treatment of rating data).
+
+    The file is parsed column-wise in blocks of about ``_BLOCK_CHARS``
+    characters of whole lines, so the memory used beyond the accepted
+    edges and the weight matrix is bounded per block.  When the file has
+    several faults, the one on the earliest line is raised, with that
+    line's number.
     """
     if mode not in ("binary", "count"):
         raise ConfigError(f"unknown edge-list mode {mode!r}")
-    actor_index: dict = {}
-    event_index: dict = {}
-    entries: dict = {}
+    actor_index = defaultdict(count().__next__)
+    event_index = defaultdict(count().__next__)
+    accepted = []       # per block: (rows, cols, weights, line numbers)
+    fault = None
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n").rstrip("\r")
-            if not line.strip():
-                continue
-            parts = line.split(delimiter)
-            if len(parts) < 2 or (len(parts) > 3 and strict):
-                if strict:
-                    raise DataError(
-                        f"expected 2 or 3 columns, got {len(parts)}", line_number=lineno
-                    )
-                continue
-            actor, event = parts[0].strip(), parts[1].strip()
-            if not actor or not event:
-                if strict:
-                    raise DataError("empty node id", line_number=lineno)
-                continue
-            if len(parts) >= 3 and parts[2].strip():
-                try:
-                    weight = float(parts[2])
-                except ValueError:
-                    if strict:
-                        raise DataError(
-                            f"bad weight {parts[2]!r}", line_number=lineno
-                        ) from None
-                    continue
-            else:
-                weight = 1.0
-            if binarize:
-                weight = 1.0 if weight > 0 else 0.0
-            if not np.isfinite(weight) or weight < 0:
-                raise DataError(f"weight {weight!r} out of range", line_number=lineno)
-            if mode == "binary" and weight not in (0.0, 1.0):
-                raise DataError(
-                    f"weight {weight:g} invalid for binary mode", line_number=lineno
-                )
-            i = actor_index.setdefault(actor, len(actor_index))
-            j = event_index.setdefault(event, len(event_index))
-            if (i, j) in entries:
-                if mode == "binary":
-                    raise DataError(
-                        f"duplicate edge ({actor}, {event})", line_number=lineno
-                    )
-                if not sum_duplicates:
-                    raise DataError(
-                        f"duplicate edge ({actor}, {event}); "
-                        "pass sum_duplicates to aggregate",
-                        line_number=lineno,
-                    )
-                entries[(i, j)] += weight
-            else:
-                entries[(i, j)] = weight
-    if not entries:
+        for first_line, text in _line_blocks(fh):
+            lines, actors, events, w, fault = _parse_block(
+                text, delimiter, mode, binarize, strict
+            )
+            accepted.append((
+                _indices(actor_index, actors),
+                _indices(event_index, events),
+                w,
+                first_line + lines,
+            ))
+            if fault is not None:
+                break
+    rows, cols, w, line_numbers = map(np.concatenate, zip(*accepted))
+    del accepted        # the per-block copies; keeps the peak below the old reader's
+    actor_labels, event_labels = tuple(actor_index), tuple(event_index)
+    m, n = len(actor_labels), len(event_labels)
+    flat = rows * n + cols
+    if (mode == "binary" or not sum_duplicates) and \
+            np.bincount(flat, minlength=m * n).max(initial=0) > 1:
+        # every accepted line precedes the first faulty one, so a repeat wins
+        k = _first_repeat(flat)
+        message = f"duplicate edge ({actor_labels[rows[k]]}, {event_labels[cols[k]]})"
+        if mode == "count":
+            message += "; pass sum_duplicates to aggregate"
+        raise DataError(message, line_number=int(line_numbers[k]))
+    if fault is not None:
+        raise DataError(fault[1], line_number=first_line + fault[0])
+    if not flat.size:
         raise DataError("no edges in file")
-    weights = np.zeros((len(actor_index), len(event_index)))
-    for (i, j), w in entries.items():
-        weights[i, j] = w
+    weights = np.bincount(flat, weights=w, minlength=m * n)
+    negative_zero = np.signbit(w)
+    if negative_zero.any():
+        # "+=" from a cell's first term keeps -0.0 when every term is -0.0
+        weights[np.setdiff1d(flat[negative_zero], flat[~negative_zero])] = -0.0
     return BipartiteGraph(
-        weights=weights,
-        actor_labels=tuple(actor_index),
-        event_labels=tuple(event_index),
+        weights=weights.reshape(m, n),
+        actor_labels=actor_labels,
+        event_labels=event_labels,
     )
 
 
 def save_edge_list(graph: BipartiteGraph, path, delimiter: str = "\t"):
     """Write the graph's nonzero cells as an edge list (round-trips with
     :func:`load_edge_list` for graphs without isolated nodes)."""
+    rows, cols = np.nonzero(graph.weights)
+    text = "".join(
+        f"{graph.actor_labels[i]}{delimiter}{graph.event_labels[j]}{delimiter}{w:.12g}\n"
+        for i, j, w in zip(rows.tolist(), cols.tolist(), graph.weights[rows, cols].tolist())
+    )
     with open(path, "w", encoding="utf-8") as fh:
-        rows, cols = np.nonzero(graph.weights)
-        for i, j in zip(rows, cols):
-            w = graph.weights[i, j]
-            fh.write(
-                f"{graph.actor_labels[i]}{delimiter}{graph.event_labels[j]}"
-                f"{delimiter}{w:.12g}\n"
-            )
+        fh.write(text)
 
 
 def load_attribute_table(path, delimiter: str = "\t", id_column: str = None) -> NodeAttributeTable:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import norm
 
-from .errors import ConfigError
+from .errors import ConfigError, FitError
 from .fitter import (
     FitResult,
     StructuredJacobian,
@@ -33,7 +33,7 @@ from .fitter import (
 
 def _require_converged(fit: FitResult):
     if not fit.converged:
-        raise ValueError("inference requires a converged fit")
+        raise FitError("inference requires a converged fit")
 
 
 @dataclass(frozen=True)
@@ -501,39 +501,35 @@ def report_rows(
     _require_converged(fit)
     zcrit = float(norm.ppf(0.5 * (1.0 + level)))
     node_se = node_standard_errors(fit)
-    rows = []
-
-    def add(name, label, estimate, se):
-        stat = (estimate - 0.0) / se
-        rows.append(
-            ReportRow(
-                name=name,
-                label=label,
-                estimate=float(estimate),
-                se=float(se),
-                statistic=float(stat),
-                p_value=2.0 * float(norm.sf(abs(stat))),
-                ci_low=float(estimate - zcrit * se),
-                ci_high=float(estimate + zcrit * se),
-            )
-        )
-
-    for i in range(fit.m):
-        add(f"alpha:{i + 1}", fit.graph.actor_labels[i], fit.params.alpha[i],
-            node_se.alpha[i])
-    for j in range(fit.n - 1):
-        add(f"beta:{j + 1}", fit.graph.event_labels[j], fit.params.beta[j],
-            node_se.beta[j])
+    names = [f"alpha:{i + 1}" for i in range(fit.m)]
+    names += [f"beta:{j + 1}" for j in range(fit.n - 1)]
+    labels = list(fit.graph.actor_labels) + list(fit.graph.event_labels[:-1])
+    estimates = [fit.params.alpha, fit.params.beta[: fit.n - 1]]
+    ses = [node_se.alpha, node_se.beta]
     if fit.covariates.p:
         ci = coefficient_inference(fit, method)
-        for k in range(fit.covariates.p):
-            add(f"gamma:{k + 1}", fit.covariates.names[k], ci.estimate[k],
-                ci.standard_errors[k])
+        blocks = [("gamma", ci.estimate)]
         if bias_correct:
-            for k in range(fit.covariates.p):
-                add(f"gamma_bc:{k + 1}", fit.covariates.names[k], ci.estimate_bc[k],
-                    ci.standard_errors[k])
-    return rows
+            blocks.append(("gamma_bc", ci.estimate_bc))
+        for prefix, estimate in blocks:
+            names += [f"{prefix}:{k + 1}" for k in range(fit.covariates.p)]
+            labels += list(fit.covariates.names)
+            estimates.append(estimate)
+            ses.append(ci.standard_errors)
+    estimate = np.concatenate(estimates)
+    se = np.concatenate(ses)
+    stat = estimate / se
+    return list(map(
+        ReportRow,
+        names,
+        labels,
+        estimate.tolist(),
+        se.tolist(),
+        stat.tolist(),
+        (2.0 * norm.sf(np.abs(stat))).tolist(),
+        (estimate - zcrit * se).tolist(),
+        (estimate + zcrit * se).tolist(),
+    ))
 
 
 REPORT_HEADER = ("name", "label", "estimate", "se", "statistic", "p_value",

@@ -7,6 +7,7 @@ import time
 import numpy as np
 import pytest
 
+from bimoment import cli
 from bimoment.cli import (
     EXIT_CONFIG,
     EXIT_ILL_POSED,
@@ -150,6 +151,25 @@ class TestFitCommand:
                    "--event-attrs", str(movies), "--mapping", str(mapping),
                    "--out-dir", str(tmp_path / "out")])
         assert rc == EXIT_ILL_POSED
+
+    def test_unconverged_inference_exit_code(self, tmp_path, monkeypatch, capsys):
+        # inference asked of an unconverged fit is a fitting failure
+        real_fit = cli.fit
+
+        def unconverged_fit(*args, **kwargs):
+            result = real_fit(*args, **kwargs)
+            object.__setattr__(result, "converged", False)
+            return result
+
+        monkeypatch.setattr(cli, "fit", unconverged_fit)
+        edges = tmp_path / "edges.tsv"
+        edges.write_text("u1\tm1\t2\nu1\tm2\t1\nu2\tm1\t1\nu2\tm2\t3\n")
+        rc = main(["fit", str(edges), "--count-mode", "--family", "poisson",
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == EXIT_NONEXISTENT
+        err = capsys.readouterr().err
+        assert "converged fit" in err
+        assert "Traceback" not in err
 
 
 class TestTestCommand:

@@ -1,8 +1,13 @@
 """Graph containers, ingestion, degree filtering, and match covariates."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from bimoment import data
 from bimoment import (
     BipartiteGraph,
     ConfigError,
@@ -26,6 +31,131 @@ def graph_from(weights, prefix=("a", "e")):
         actor_labels=tuple(f"{prefix[0]}{i}" for i in range(w.shape[0])),
         event_labels=tuple(f"{prefix[1]}{j}" for j in range(w.shape[1])),
     )
+
+
+def reference_load_edge_list(
+    path,
+    delimiter: str = "\t",
+    mode: str = "binary",
+    sum_duplicates: bool = False,
+    binarize: bool = False,
+    strict: bool = True,
+) -> BipartiteGraph:
+    """The line-by-line edge-list reader that ``load_edge_list`` replaced,
+    kept unchanged as the oracle of its parity tests."""
+    if mode not in ("binary", "count"):
+        raise ConfigError(f"unknown edge-list mode {mode!r}")
+    actor_index: dict = {}
+    event_index: dict = {}
+    entries: dict = {}
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.rstrip("\n").rstrip("\r")
+            if not line.strip():
+                continue
+            parts = line.split(delimiter)
+            if len(parts) < 2 or (len(parts) > 3 and strict):
+                if strict:
+                    raise DataError(
+                        f"expected 2 or 3 columns, got {len(parts)}", line_number=lineno
+                    )
+                continue
+            actor, event = parts[0].strip(), parts[1].strip()
+            if not actor or not event:
+                if strict:
+                    raise DataError("empty node id", line_number=lineno)
+                continue
+            if len(parts) >= 3 and parts[2].strip():
+                try:
+                    weight = float(parts[2])
+                except ValueError:
+                    if strict:
+                        raise DataError(
+                            f"bad weight {parts[2]!r}", line_number=lineno
+                        ) from None
+                    continue
+            else:
+                weight = 1.0
+            if binarize:
+                weight = 1.0 if weight > 0 else 0.0
+            if not np.isfinite(weight) or weight < 0:
+                raise DataError(f"weight {weight!r} out of range", line_number=lineno)
+            if mode == "binary" and weight not in (0.0, 1.0):
+                raise DataError(
+                    f"weight {weight:g} invalid for binary mode", line_number=lineno
+                )
+            i = actor_index.setdefault(actor, len(actor_index))
+            j = event_index.setdefault(event, len(event_index))
+            if (i, j) in entries:
+                if mode == "binary":
+                    raise DataError(
+                        f"duplicate edge ({actor}, {event})", line_number=lineno
+                    )
+                if not sum_duplicates:
+                    raise DataError(
+                        f"duplicate edge ({actor}, {event}); "
+                        "pass sum_duplicates to aggregate",
+                        line_number=lineno,
+                    )
+                entries[(i, j)] += weight
+            else:
+                entries[(i, j)] = weight
+    if not entries:
+        raise DataError("no edges in file")
+    weights = np.zeros((len(actor_index), len(event_index)))
+    for (i, j), w in entries.items():
+        weights[i, j] = w
+    return BipartiteGraph(
+        weights=weights,
+        actor_labels=tuple(actor_index),
+        event_labels=tuple(event_index),
+    )
+
+
+def reference_save_edge_list(graph, path, delimiter="\t"):
+    """The cell-by-cell writer that ``save_edge_list`` replaced."""
+    with open(path, "w", encoding="utf-8") as fh:
+        rows, cols = np.nonzero(graph.weights)
+        for i, j in zip(rows, cols):
+            w = graph.weights[i, j]
+            fh.write(
+                f"{graph.actor_labels[i]}{delimiter}{graph.event_labels[j]}"
+                f"{delimiter}{w:.12g}\n"
+            )
+
+
+def load_outcome(load, path, **options):
+    """Labels, shape and weight bytes of a loaded graph, or the class and
+    message of the error the load raised."""
+    try:
+        graph = load(path, **options)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return graph.actor_labels, graph.event_labels, graph.weights.shape, graph.weights.tobytes()
+
+
+EDGE_LABELS = ("a", "b", "c", " a", "b ", " c ", "a:", "", " ")
+EDGE_WEIGHTS = ("1", "0", "2.5", " 3 ", "-1", "x", " x ", "inf", "nan", "1e3", "")
+BLANK_LINES = ("", "  ", "\t", " \t ")
+
+
+@st.composite
+def edge_files(draw):
+    """``(text, delimiter)`` of a small edge list with rows of 1 to 5
+    columns, blank lines, padded and empty ids and mixed line endings."""
+    delimiter = draw(st.sampled_from(("\t", ",", "::")))
+    row = st.tuples(
+        st.sampled_from(EDGE_LABELS),
+        st.sampled_from(EDGE_LABELS),
+        st.lists(st.sampled_from(EDGE_WEIGHTS), max_size=3),
+    ).map(lambda r: delimiter.join((r[0], r[1], *r[2])))
+    other = st.sampled_from(EDGE_LABELS + BLANK_LINES)     # one column or blank
+    lines = draw(st.lists(st.one_of(row, row, row, other), min_size=1, max_size=12))
+    endings = [draw(st.sampled_from(("\n", "\r\n", "\r"))) for _ in lines]
+    text = "".join(line + end for line, end in zip(lines, endings))
+    if draw(st.booleans()):
+        text = text[: -len(endings[-1])]    # no final newline
+    return text, delimiter
 
 
 class TestDegrees:
@@ -145,6 +275,66 @@ class TestEdgeListIO:
         assert second.actor_labels == first.actor_labels
         assert second.event_labels == first.event_labels
         assert np.array_equal(second.weights, first.weights)
+
+    def test_save_matches_cell_by_cell_writer(self, tmp_path, rng):
+        w = rng.integers(0, 4, size=(30, 20)).astype(float)
+        w[0, 0], w[1, 1] = 1.0 / 3.0, 1e15
+        graph = graph_from(w)
+        save_edge_list(graph, tmp_path / "new.tsv")
+        reference_save_edge_list(graph, tmp_path / "old.tsv")
+        assert (tmp_path / "new.tsv").read_bytes() == (tmp_path / "old.tsv").read_bytes()
+
+
+class TestEdgeListParity:
+    """``load_edge_list`` against the line-by-line reader it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        edge_files(),
+        st.sampled_from(("binary", "count")),
+        st.booleans(),
+        st.booleans(),
+        st.booleans(),
+        st.sampled_from((1, 2, 3, 5, 8, 1 << 16)),
+    )
+    @example(("u\tm\t x \r\n", "\t"), "count", False, False, True, 1 << 16)
+    def test_matches_line_by_line_reader(
+        self, tmp_path_factory, source, mode, sum_duplicates, binarize, strict, block
+    ):
+        text, delimiter = source
+        path = tmp_path_factory.getbasetemp() / "parity.txt"
+        path.write_bytes(text.encode("utf-8"))
+        options = dict(delimiter=delimiter, mode=mode, sum_duplicates=sum_duplicates,
+                       binarize=binarize, strict=strict)
+        with mock.patch.object(data, "_BLOCK_CHARS", block):
+            outcome = load_outcome(load_edge_list, path, **options)
+        assert outcome == load_outcome(reference_load_edge_list, path, **options)
+
+    @pytest.mark.parametrize("faults, expected", [
+        ({9000: "junk", 11000: "u1\tm1"}, "line 9001: expected 2 or 3 columns, got 1"),
+        ({8000: "u3\tm3", 9000: "junk"}, "line 8001: duplicate edge (u3, m3)"),
+    ])
+    def test_first_fault_past_the_first_block(self, tmp_path, faults, expected):
+        lines = [f"u{i}\tm{i}" for i in range(12000)]
+        for index, line in faults.items():
+            lines[index] = line
+        assert sum(len(line) + 1 for line in lines[:8000]) > data._BLOCK_CHARS
+        path = tmp_path / "long.tsv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError) as exc:
+            load_edge_list(path)
+        assert str(exc.value) == expected
+        assert load_outcome(reference_load_edge_list, path) == (DataError, expected)
+
+    def test_negative_zero_weights_keep_their_sign(self, tmp_path):
+        path = tmp_path / "zeros.tsv"
+        path.write_text("u1\tm1\t-0\nu1\tm1\t-0\nu2\tm1\t-0\nu2\tm1\t0\nu1\tm2\t2\n")
+        options = dict(mode="count", sum_duplicates=True)
+        outcome = load_outcome(load_edge_list, path, **options)
+        assert outcome == load_outcome(reference_load_edge_list, path, **options)
+        assert np.signbit(load_edge_list(path, **options).weights).tolist() == [
+            [True, False], [False, False]
+        ]
 
 
 class TestDegreeFilter:

@@ -32,7 +32,7 @@ from bimoment import (
     write_report,
 )
 from bimoment import inference
-from bimoment.errors import ConfigError
+from bimoment.errors import ConfigError, FitError
 from bimoment.fitter import FitResult, mixed_moment_derivative, profile_jacobian
 from bimoment.inference import REPORT_HEADER, components_from_fit, wald_from_components
 
@@ -178,7 +178,7 @@ class TestNodeStandardErrors:
         result = fit(graph, cov, LOGISTIC)
         broken = synthetic_fit(graph, cov, LOGISTIC, result.params)
         object.__setattr__(broken, "converged", False)
-        with pytest.raises(ValueError, match="converged"):
+        with pytest.raises(FitError, match="converged"):
             node_standard_errors(broken)
 
 
