@@ -10,8 +10,9 @@ Three subcommands cover the whole pipeline:
 * ``test``      run Wald tests against a fit report's sidecar.
 
 Every run writes a ``manifest.json`` recording the command, the resolved
-options, SHA-256 digests of all inputs, the seed, the tool version, and
-the wall-clock time.  Outputs are plain delimited text with stable
+options, SHA-256 digests of all inputs, the seed (``null`` for ``fit``
+and ``test``, which draw no random numbers), the tool version, and the
+wall-clock time.  Outputs are plain delimited text with stable
 formatting: re-running a command reproduces them byte for byte.
 
 ``fit`` writes ``trace.tsv`` with one row per step of the joint Newton
@@ -20,7 +21,8 @@ index, 0 for the starting point; ``inner_iterations`` is the number of
 step halvings the step needed; ``degree_norm`` and ``covariate_norm``
 are the sup norms of the degree and covariate residuals after the step.
 
-Exit codes: 0 success, 2 config/parse error, 3 fitting failure (any
+Exit codes: 0 success, 2 config/parse error (including an input file
+that is not valid UTF-8, or an empty delimiter), 3 fitting failure (any
 ``FitError``: no finite solution, no convergence, or inference asked of
 an unconverged fit), 4 ill-posed inference, 5 internal error.  Every flag
 can be supplied via an environment variable with the ``BIMOMENT_``
@@ -115,12 +117,18 @@ def _write_manifest(out_dir: Path, command: str, options: dict, inputs, seed,
         fh.write("\n")
 
 
-def _load_mappings(path) -> list:
+def _load_json(path, what: str):
+    """Parse a JSON input; malformed JSON or text that is not UTF-8 is a
+    ``ConfigError`` naming the file and where it fails."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"mapping file {path}: {exc}") from None
+            return json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"{what} {path}: {exc}") from None
+
+
+def _load_mappings(path) -> list:
+    raw = _load_json(path, "mapping file")
     if not isinstance(raw, dict) or "mappings" not in raw:
         raise ConfigError(f"mapping file {path} must contain a 'mappings' list")
     mappings = []
@@ -224,7 +232,7 @@ def cmd_fit(args) -> int:
         json.dump(sidecar, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-    _write_manifest(out_dir, "fit", vars(args), inputs, args.seed, started)
+    _write_manifest(out_dir, "fit", vars(args), inputs, None, started)
     print(f"fit: {result.m} actors x {result.n} events, "
           f"{result.covariates.p} covariates, converged={result.converged}")
     if result.covariates.p:
@@ -238,11 +246,7 @@ def cmd_simulate(args) -> int:
     started = time.perf_counter()
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(args.scenario, "r", encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"scenario file {args.scenario}: {exc}") from None
+    raw = _load_json(args.scenario, "scenario file")
     if args.seed is not None:
         raw["seed"] = args.seed
     scenario = Scenario.from_dict(raw)
@@ -260,11 +264,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_test(args) -> int:
     started = time.perf_counter()
-    with open(args.fit_report, "r", encoding="utf-8") as fh:
-        try:
-            sidecar = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"fit report {args.fit_report}: {exc}") from None
+    sidecar = _load_json(args.fit_report, "fit report")
     try:
         comp = InferenceComponents(
             m=sidecar["m"],
@@ -341,10 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
                        default=_env_default("method", "fisher"))
     p_fit.add_argument("--bias-correct", action=argparse.BooleanOptionalAction,
                        default=_env_flag("bias-correct", True))
-    p_fit.add_argument("--seed", type=int, default=_env_default("seed", 0))
-    p_fit.add_argument("--threads", type=int,
-                       default=_env_default("threads", 1),
-                       help="recorded for reproducibility; fitting is single-threaded")
     p_fit.add_argument("--out-dir", default=_env_default("out-dir", "."),
                        help="directory for report.tsv, trace.tsv, fit.json, manifest.json")
     p_fit.set_defaults(func=cmd_fit)

@@ -232,7 +232,7 @@ def _parse_block(text, delimiter, mode, binarize, strict) -> tuple:
     the lines it skips are neither accepted nor faulty.
     """
     n_lines = text.count("\n") + 1
-    if delimiter and "\n" not in delimiter:
+    if "\n" not in delimiter:
         # universal-newline reading leaves no "\r" in the text, so "\r" can
         # stand for the delimiter: a line has one column more than "\r"s,
         # and each "\r" lies on the line of the newlines before it
@@ -288,8 +288,6 @@ def _parse_block(text, delimiter, mode, binarize, strict) -> tuple:
             unsure.sum(),
         )
         fault[blank] = 0
-    if not delimiter and not blank.all():
-        raise ValueError("empty separator")     # what str.split raises
     raises = fault >= (_COLUMNS if strict else _OUT_OF_RANGE)
     stop = int(np.argmax(raises)) if raises.any() else n_lines
     keep = (fault[cand] == 0) & ~blank[cand] & (cand < stop)
@@ -316,6 +314,28 @@ def _indices(index: defaultdict, labels: list) -> np.ndarray:
     """Positions of ``labels`` in ``index``, whose default factory numbers
     each unseen label in order of first appearance."""
     return np.fromiter(map(index.__getitem__, labels), np.intp, len(labels))
+
+
+def _check_delimiter(delimiter: str):
+    if not delimiter:
+        raise ConfigError("the delimiter must not be empty")
+
+
+def _not_utf8(path) -> DataError:
+    """The error for a text file that is not valid UTF-8, naming the file,
+    the line (universal newlines) and the byte offset of its first bad
+    byte."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        offset = exc.start
+    head = raw[:offset].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    return DataError(
+        f"{path} is not valid UTF-8 (byte 0x{raw[offset]:02x} at offset {offset})",
+        line_number=head.count(b"\n") + 1,
+    )
 
 
 def _first_repeat(keys: np.ndarray) -> int:
@@ -347,27 +367,32 @@ def load_edge_list(
     characters of whole lines, so the memory used beyond the accepted
     edges and the weight matrix is bounded per block.  When the file has
     several faults, the one on the earliest line is raised, with that
-    line's number.
+    line's number.  A file that is not valid UTF-8 raises ``DataError``
+    when the block holding its first bad byte is read.
     """
     if mode not in ("binary", "count"):
         raise ConfigError(f"unknown edge-list mode {mode!r}")
+    _check_delimiter(delimiter)
     actor_index = defaultdict(count().__next__)
     event_index = defaultdict(count().__next__)
     accepted = []       # per block: (rows, cols, weights, line numbers)
     fault = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for first_line, text in _line_blocks(fh):
-            lines, actors, events, w, fault = _parse_block(
-                text, delimiter, mode, binarize, strict
-            )
-            accepted.append((
-                _indices(actor_index, actors),
-                _indices(event_index, events),
-                w,
-                first_line + lines,
-            ))
-            if fault is not None:
-                break
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for first_line, text in _line_blocks(fh):
+                lines, actors, events, w, fault = _parse_block(
+                    text, delimiter, mode, binarize, strict
+                )
+                accepted.append((
+                    _indices(actor_index, actors),
+                    _indices(event_index, events),
+                    w,
+                    first_line + lines,
+                ))
+                if fault is not None:
+                    break
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
     rows, cols, w, line_numbers = map(np.concatenate, zip(*accepted))
     del accepted        # the per-block copies; keeps the peak below the old reader's
     actor_labels, event_labels = tuple(actor_index), tuple(event_index)
@@ -413,35 +438,40 @@ def load_attribute_table(path, delimiter: str = "\t", id_column: str = None) -> 
     """Read a delimited table with a header row into a node-attribute table.
 
     The id column defaults to the first header entry; every node must
-    appear exactly once.
+    appear exactly once.  A file that is not valid UTF-8 raises
+    ``DataError``.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        header_line = fh.readline().rstrip("\n").rstrip("\r")
-        if not header_line.strip():
-            raise DataError("missing header row", line_number=1)
-        header = [h.strip() for h in header_line.split(delimiter)]
-        if id_column is None:
-            id_column = header[0]
-        if id_column not in header:
-            raise ConfigError(f"id column {id_column!r} not in header {header}")
-        id_pos = header.index(id_column)
-        rows = {}
-        for lineno, raw in enumerate(fh, start=2):
-            line = raw.rstrip("\n").rstrip("\r")
-            if not line.strip():
-                continue
-            parts = line.split(delimiter)
-            if len(parts) != len(header):
-                raise DataError(
-                    f"expected {len(header)} columns, got {len(parts)}",
-                    line_number=lineno,
-                )
-            node = parts[id_pos].strip()
-            if node in rows:
-                raise DataError(f"duplicate node id {node!r}", line_number=lineno)
-            rows[node] = {
-                col: parts[k].strip() for k, col in enumerate(header) if k != id_pos
-            }
+    _check_delimiter(delimiter)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            header_line = fh.readline().rstrip("\n").rstrip("\r")
+            if not header_line.strip():
+                raise DataError("missing header row", line_number=1)
+            header = [h.strip() for h in header_line.split(delimiter)]
+            if id_column is None:
+                id_column = header[0]
+            if id_column not in header:
+                raise ConfigError(f"id column {id_column!r} not in header {header}")
+            id_pos = header.index(id_column)
+            rows = {}
+            for lineno, raw in enumerate(fh, start=2):
+                line = raw.rstrip("\n").rstrip("\r")
+                if not line.strip():
+                    continue
+                parts = line.split(delimiter)
+                if len(parts) != len(header):
+                    raise DataError(
+                        f"expected {len(header)} columns, got {len(parts)}",
+                        line_number=lineno,
+                    )
+                node = parts[id_pos].strip()
+                if node in rows:
+                    raise DataError(f"duplicate node id {node!r}", line_number=lineno)
+                rows[node] = {
+                    col: parts[k].strip() for k, col in enumerate(header) if k != id_pos
+                }
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
     columns = tuple(c for c in header if c != id_column)
     return NodeAttributeTable(columns=columns, rows=rows)
 

@@ -3,8 +3,9 @@
 Each family models the conditional distribution of an edge weight given
 its linear predictor ``eta = alpha_i + beta_j + z_ij @ gamma`` and
 exposes everything the fitter and the inference formulas need: the mean
-function, its first three derivatives, the variance function, a
-reproducible sampler, and a log density.  The log density exists only
+function, its first three derivatives (the first also from an already
+computed mean), the variance function, a reproducible sampler, and a
+log density.  The log density exists only
 for the likelihood oracle used in tests; the production fitter solves
 moment equations and never touches it.
 
@@ -67,6 +68,12 @@ class ModelFamily(ABC):
         """First derivative of the mean function."""
 
     @abstractmethod
+    def mean_d1_given_mean(self, eta, mu):
+        """``mean_d1(eta)`` when ``mu = mean(eta)`` is already at hand, with
+        the very values ``mean_d1`` gives.  Where the slope is a function
+        of the mean this skips a second pass of the mean function."""
+
+    @abstractmethod
     def mean_d2(self, eta):
         """Second derivative of the mean function."""
 
@@ -110,6 +117,9 @@ class LogisticFamily(ModelFamily):
 
     def mean_d1(self, eta):
         mu = self._mu(eta)
+        return _like(eta, mu * (1.0 - mu))
+
+    def mean_d1_given_mean(self, eta, mu):
         return _like(eta, mu * (1.0 - mu))
 
     def mean_d2(self, eta):
@@ -164,6 +174,9 @@ class PoissonFamily(ModelFamily):
 
     def mean_d1(self, eta):
         return _like(eta, self._lam(eta))
+
+    def mean_d1_given_mean(self, eta, mu):
+        return mu
 
     def mean_d2(self, eta):
         return _like(eta, self._lam(eta))

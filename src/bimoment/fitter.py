@@ -34,7 +34,7 @@ function, for instance); divergence is detected and reported as
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -266,9 +266,10 @@ class StructuredJacobian:
         g_inv = g @ inv_kept
         inv_elim_diag = 1.0 / d_elim + np.einsum("ij,ij->i", g_inv, g)
         inv_kept_diag = np.diag(inv_kept).copy()
+        inv_cross = np.negative(g_inv, out=g_inv)   # in place: one m x n block less
         if self._keeps_actors:
-            return inv_kept_diag, -g_inv.T, inv_elim_diag
-        return inv_elim_diag, -g_inv, inv_kept_diag
+            return inv_kept_diag, inv_cross.T, inv_elim_diag
+        return inv_elim_diag, inv_cross, inv_kept_diag
 
     def dense(self) -> np.ndarray:
         """Materialize the full (m+n-1) x (m+n-1) matrix (for tests and
@@ -305,17 +306,29 @@ class IterationRecord:
 
 @dataclass(frozen=True)
 class FitResult:
-    """A fitted model together with everything inference needs."""
+    """A fitted model together with everything inference needs.
+
+    ``predictor`` is the linear predictor at the estimate and
+    ``jacobian`` the structured Jacobian there, both as ``fit`` computed
+    them at its last accepted point; nothing rebuilds them from
+    ``params``.  ``inference_cache`` starts empty: ``bimoment.inference``
+    keeps there the quantities it derives from this linearization, each
+    computed on its first request.
+    """
 
     params: ParameterSet
     residuals: MomentResiduals
     converged: bool
     trace: tuple
-    jacobian_summary: dict
+    predictor: np.ndarray
+    jacobian: StructuredJacobian
     graph: BipartiteGraph
     covariates: CovariateTensor
     family: ModelFamily
     options: FitOptions
+    inference_cache: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def m(self) -> int:
@@ -330,13 +343,9 @@ class FitResult:
         """Total number of dyads N = m * n."""
         return self.graph.m * self.graph.n
 
-    @cached_property
-    def predictor(self) -> np.ndarray:
-        return self.params.linear_predictor(self.covariates)
-
-    @cached_property
-    def jacobian(self) -> StructuredJacobian:
-        return build_jacobian(self.params, self.covariates, self.family)
+    @property
+    def jacobian_summary(self) -> dict:
+        return self.jacobian.summary()
 
 
 def degree_residuals(
@@ -456,7 +465,7 @@ def solve_degree_params(
     else:
         theta = _initial_theta(graph, deg, family, options.init)
     gamma = np.asarray(gamma, dtype=float).reshape(-1)
-    params, _pi, _res, trace = _damped_newton(
+    params, _pi, _mu, _res, trace = _damped_newton(
         graph, covariates, family, deg, theta, gamma, options, free_gamma=False
     )
     return params, tuple(rec.degree_norm for rec in trace)
@@ -481,7 +490,8 @@ def profiled_residuals(
 def profile_jacobian(
     params: ParameterSet, covariates: CovariateTensor, family: ModelFamily
 ) -> np.ndarray:
-    """Jacobian of the profiled covariate residuals with respect to gamma.
+    """Jacobian of the profiled covariate residuals with respect to gamma,
+    rebuilt from ``params``.
 
     For exponential families this is the Fisher information of the
     concentrated likelihood, and its inverse is the asymptotic covariance
@@ -491,7 +501,9 @@ def profile_jacobian(
 
     where ``C`` collects the mixed derivatives of the covariate residuals
     in the degree parameters.  Raises ``IllPosedError`` if the result is
-    not symmetric positive definite.
+    not symmetric positive definite.  Inference reads the same matrix
+    from the fit's own Jacobian instead (``bimoment.inference``); this
+    stand-alone form is the reference it is checked against.
     """
     if covariates.p == 0:
         return np.zeros((0, 0))
@@ -554,6 +566,9 @@ def fit(
     With ``p = 0`` this is Newton's method on the degree equations alone.
 
     It stops once ``|f|_inf <= tol_inner`` and ``|q|_inf <= tol_outer``.
+    The result carries the predictor at the accepted point and one
+    structured Jacobian there, its slopes derived from the mean that the
+    last trial already computed; inference reuses both.
     Raises ``NonExistenceError`` for infeasible degrees, a stall under
     full damping or degree parameters escaping ``PARAM_CAP``,
     ``MaxIterationsError`` after ``max_outer`` steps, and
@@ -574,7 +589,7 @@ def fit(
     deg = degrees(graph)
     _check_feasible_degrees(graph, deg, family)
     theta = _initial_theta(graph, deg, family, options.init)
-    params, pi, residuals, trace = _damped_newton(
+    params, pi, mu, residuals, trace = _damped_newton(
         graph, covariates, family, deg, theta, np.zeros(covariates.p), options,
         free_gamma=True,
     )
@@ -583,7 +598,8 @@ def fit(
         residuals=residuals,
         converged=True,
         trace=tuple(trace),
-        jacobian_summary=StructuredJacobian(family.mean_d1(pi)).summary(),
+        predictor=pi,
+        jacobian=StructuredJacobian(family.mean_d1_given_mean(pi, mu)),
         graph=graph,
         covariates=covariates,
         family=family,
@@ -599,7 +615,8 @@ def _damped_newton(graph, covariates, family, deg, theta, gamma, options, free_g
     stays fixed and only the degree equations are solved, so the
     residuals carry no covariate part (``solve_degree_params``; at most
     ``max_inner`` steps, then ``NonExistenceError``).  Returns ``(params,
-    predictor, residuals, trace)`` at the last accepted point.
+    predictor, mean, residuals, trace)`` at the last accepted point.  A
+    step's slopes come from the mean its accepted point already computed.
     """
     m, n = graph.m, graph.n
     observed_degrees = np.concatenate([deg.d, deg.b[:-1]])
@@ -618,7 +635,7 @@ def _damped_newton(graph, covariates, family, deg, theta, gamma, options, free_g
             q = np.einsum("ijk,ij->k", covariates.values, mu) - observed_totals
         else:
             q = np.zeros(0)
-        return params, pi, MomentResiduals(degree=f, covariate=q)
+        return params, pi, mu, MomentResiduals(degree=f, covariate=q)
 
     def merit(res):
         return max(res.degree_norm, res.covariate_norm)
@@ -627,7 +644,7 @@ def _damped_newton(graph, covariates, family, deg, theta, gamma, options, free_g
         return [max(rec.degree_norm, rec.covariate_norm) for rec in trace]
 
     try:
-        params, pi, res = evaluate(theta, gamma)
+        params, pi, mu, res = evaluate(theta, gamma)
     except DomainError as exc:
         raise NonExistenceError(
             f"starting point lies outside the family's working domain: {exc}"
@@ -640,7 +657,10 @@ def _damped_newton(graph, covariates, family, deg, theta, gamma, options, free_g
                 f"Newton iteration did not reach tolerance in {max_steps} steps",
                 trace=merit_trace(),
             )
-        dtheta, dgamma = _newton_direction(family.mean_d1(pi), covariates, res)
+        dtheta, dgamma = _newton_direction(
+            family.mean_d1_given_mean(pi, mu), covariates, res
+        )
+        del mu  # not needed past the direction; keeps the trials' peak memory down
         for halvings in range(options.max_halvings + 1):
             scale = 0.5**halvings
             trial_theta, trial_gamma = theta - scale * dtheta, gamma - scale * dgamma
@@ -648,7 +668,7 @@ def _damped_newton(graph, covariates, family, deg, theta, gamma, options, free_g
                 trial = evaluate(trial_theta, trial_gamma)
             except DomainError:
                 continue  # trial point left the family's working domain
-            if merit(trial[2]) < merit(res):
+            if merit(trial[-1]) < merit(res):
                 break
         else:
             raise NonExistenceError(
@@ -657,7 +677,7 @@ def _damped_newton(graph, covariates, family, deg, theta, gamma, options, free_g
                 trace=merit_trace(),
             )
         theta, gamma = trial_theta, trial_gamma
-        params, pi, res = trial
+        params, pi, mu, res = trial
         trace.append(
             IterationRecord(step_index, halvings, res.degree_norm, res.covariate_norm)
         )
@@ -667,7 +687,7 @@ def _damped_newton(graph, covariates, family, deg, theta, gamma, options, free_g
                 "the moment equations appear to have no finite solution",
                 trace=merit_trace(),
             )
-    return params, pi, res, trace
+    return params, pi, mu, res, trace
 
 
 def _newton_direction(slopes, covariates: CovariateTensor, res: MomentResiduals):

@@ -1,11 +1,19 @@
 """Asymptotic inference for fitted bipartite network models.
 
-Everything here is a pure function of an immutable :class:`FitResult`
-evaluated at the fitted parameters: standard errors for the degree
-parameters, a closed-form approximation to the inverse of the structured
-Jacobian, the coefficient covariance (Fisher or sandwich form), the
-analytic incidental-parameter bias of the coefficient estimate with its
-plug-in correction, and Wald-type tests.
+Everything here is read from one state computed once per fit: the
+predictor and structured Jacobian ``V`` that ``fit`` leaves at the
+estimate, and ``FitResult.inference_cache``, which keeps read-only, from
+their first request on, the profiled information ``H``, the coefficient
+covariance of each method asked for, the bias term ``b_star`` with the
+corrected coefficients, the node standard errors and the degree-vector
+variances ``u_diag`` and ``u_tail``.  Only these small results (p x p,
+or length m+n-1) are kept, never an m x n intermediate.
+
+The module provides standard errors for the degree parameters, a
+closed-form approximation to the inverse of the structured Jacobian,
+the coefficient covariance (Fisher or sandwich form), the analytic
+incidental-parameter bias of the coefficient estimate with its plug-in
+correction, and Wald-type tests.
 
 Scaling conventions, fixed once here so they do not leak:  ``N = m*n``
 is the dyad count, ``H`` is the unscaled p x p information matrix of the
@@ -15,6 +23,7 @@ are ``gamma + solve(h_bar, b_star) / sqrt(N)``.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -26,14 +35,37 @@ from .errors import ConfigError, FitError
 from .fitter import (
     FitResult,
     StructuredJacobian,
+    _information,
     mixed_moment_derivative,
-    profile_jacobian,
 )
 
 
 def _require_converged(fit: FitResult):
     if not fit.converged:
         raise FitError("inference requires a converged fit")
+
+
+def _once_per_fit(compute):
+    """Keep ``compute(fit, *args)`` in ``fit.inference_cache``: the first
+    request computes it, later ones read it.  Every request first
+    requires a converged fit (``FitError``); a failed computation is not
+    kept."""
+
+    @functools.wraps(compute)
+    def cached(fit, *args):
+        _require_converged(fit)
+        key = (compute.__name__, *args)
+        cache = fit.inference_cache
+        if key not in cache:
+            cache[key] = compute(fit, *args)
+        return cache[key]
+
+    return cached
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True)
@@ -81,6 +113,7 @@ def exact_inverse_apply(jacobian: StructuredJacobian, vec: np.ndarray) -> np.nda
     return jacobian.solve(vec)
 
 
+@_once_per_fit
 def _degree_variances(fit: FitResult):
     """Entries of Cov(degree vector) at the fitted parameters: per-row
     diagonal ``u_diag`` (length m+n-1) and ``u_tail`` for the dropped
@@ -88,7 +121,7 @@ def _degree_variances(fit: FitResult):
     families."""
     var = fit.family.variance(fit.predictor)
     u_diag = np.concatenate([var.sum(axis=1), var[:, :-1].sum(axis=0)])
-    return u_diag, float(var[:, -1].sum())
+    return _read_only(u_diag), float(var[:, -1].sum())
 
 
 @dataclass(frozen=True)
@@ -99,6 +132,7 @@ class NodeStandardErrors:
     beta: np.ndarray  # events 1..n-1; the n-th parameter is pinned
 
 
+@_once_per_fit
 def node_standard_errors(fit: FitResult) -> NodeStandardErrors:
     """Standard errors of the fitted degree parameters.
 
@@ -106,10 +140,9 @@ def node_standard_errors(fit: FitResult) -> NodeStandardErrors:
     exponential families ``u = v`` and it collapses to
     ``sqrt(1 / v_ii + 1 / v_tail)``.
     """
-    _require_converged(fit)
     jac = fit.jacobian
     u_diag, u_tail = _degree_variances(fit)
-    se = np.sqrt(u_diag / jac.diag**2 + u_tail / jac.v_tail**2)
+    se = _read_only(np.sqrt(u_diag / jac.diag**2 + u_tail / jac.v_tail**2))
     return NodeStandardErrors(alpha=se[: fit.m], beta=se[fit.m :])
 
 
@@ -150,24 +183,35 @@ def coefficient_covariance(fit: FitResult, method: str = "fisher") -> np.ndarray
     inverse information and agrees with ``fisher`` whenever the variance
     function equals the mean slope.
     """
-    _require_converged(fit)
-    return _covariance_from_information(
-        fit, profile_jacobian(fit.params, fit.covariates, fit.family), method
-    )
+    return _covariance(fit, method)
 
 
-def _covariance_from_information(fit: FitResult, h: np.ndarray, method: str):
-    """``coefficient_covariance`` given the profiled information ``H``."""
+@_once_per_fit
+def _information_at_estimate(fit: FitResult) -> np.ndarray:
+    """The profiled information ``H`` (p x p), formed as
+    ``profile_jacobian`` forms it but on the fit's own Jacobian."""
+    if fit.covariates.p == 0:
+        return _read_only(np.zeros((0, 0)))
+    jac = fit.jacobian
+    c = mixed_moment_derivative(fit.covariates, jac.slopes)
+    h, _chol = _information(fit.covariates, jac.slopes, c, jac.solve(c.T))
+    return _read_only(h)
+
+
+@_once_per_fit
+def _covariance(fit: FitResult, method: str) -> np.ndarray:
+    """``coefficient_covariance`` from the fit's information ``H``."""
+    h = _information_at_estimate(fit)
     if method not in ("fisher", "sandwich"):
         raise ConfigError(f"unknown covariance method {method!r}")
     if fit.covariates.p == 0:
-        return np.zeros((0, 0))
+        return _read_only(np.zeros((0, 0)))
     h_inv = np.linalg.inv(h)
     if method == "fisher":
         cov = h_inv
     else:
         cov = h_inv @ score_terms(fit).sigma @ h_inv
-    return 0.5 * (cov + cov.T)
+    return _read_only(0.5 * (cov + cov.T))
 
 
 def _pair_inverse_quadratics(fit: FitResult, use_approx: bool) -> np.ndarray:
@@ -185,9 +229,12 @@ def _pair_inverse_quadratics(fit: FitResult, use_approx: bool) -> np.ndarray:
         q[:] = inv_alpha[:, None] + inv_beta[None, :]
     else:
         inv_alpha_diag, inv_cross, inv_beta_diag = jac.inverse_blocks()
-        q[:, : n - 1] = (
-            inv_alpha_diag[:, None] + 2.0 * inv_cross + inv_beta_diag[None, :]
-        )
+        # inv_alpha + 2 inv_cross + inv_beta, summed in place to spare the
+        # peak memory two m x n temporaries (the same roundings)
+        free = q[:, : n - 1]
+        np.multiply(inv_cross, 2.0, out=free)
+        free += inv_alpha_diag[:, None]
+        free += inv_beta_diag[None, :]
         q[:, n - 1] = inv_alpha_diag
     return q
 
@@ -275,20 +322,26 @@ class GammaInference:
     method: str
 
 
-def coefficient_inference(fit: FitResult, method: str = "fisher") -> GammaInference:
-    """One-stop coefficient inference: covariance, SEs, bias correction."""
-    _require_converged(fit)
-    h = profile_jacobian(fit.params, fit.covariates, fit.family)
-    cov = _covariance_from_information(fit, h, method)
-    p = fit.covariates.p
-    if p == 0:
-        empty = np.zeros(0)
-        return GammaInference(empty, cov, empty, empty, empty, method)
+@_once_per_fit
+def _bias_correction(fit: FitResult) -> tuple:
+    """``(b_star, gamma_bc)``: the analytic bias term of the family's form
+    (exact inverse) and the coefficients it corrects."""
     if fit.family.exponential_family:
         b_star = incidental_bias_expfam(fit)
     else:
         b_star = incidental_bias_general(fit)
-    gamma_bc = bias_corrected_coefficients(fit, b_star, h / fit.n_edges)
+    h_bar = _information_at_estimate(fit) / fit.n_edges
+    gamma_bc = bias_corrected_coefficients(fit, b_star, h_bar)
+    return _read_only(b_star), _read_only(gamma_bc)
+
+
+def coefficient_inference(fit: FitResult, method: str = "fisher") -> GammaInference:
+    """One-stop coefficient inference: covariance, SEs, bias correction."""
+    cov = _covariance(fit, method)
+    if fit.covariates.p == 0:
+        empty = np.zeros(0)
+        return GammaInference(empty, cov, empty, empty, empty, method)
+    b_star, gamma_bc = _bias_correction(fit)
     return GammaInference(
         estimate=fit.params.gamma.copy(),
         covariance=cov,
@@ -387,7 +440,6 @@ class InferenceComponents:
 
 def components_from_fit(fit: FitResult, method: str = "fisher") -> InferenceComponents:
     """Extract the Wald-test components from a converged fit."""
-    _require_converged(fit)
     jac = fit.jacobian
     u_diag, u_tail = _degree_variances(fit)
     return InferenceComponents(
@@ -399,7 +451,7 @@ def components_from_fit(fit: FitResult, method: str = "fisher") -> InferenceComp
         v_tail=jac.v_tail,
         u_diag=u_diag,
         u_tail=u_tail,
-        gamma_covariance=coefficient_covariance(fit, method),
+        gamma_covariance=_covariance(fit, method),
     )
 
 

@@ -30,7 +30,7 @@ from .data import BipartiteGraph, CovariateTensor
 from .errors import ConfigError, FitError, IllPosedError
 from .families import POISSON_ETA_CAP, ModelFamily, get_family
 from .fitter import FitOptions, FitResult, ParameterSet, fit
-from .inference import coefficient_inference, node_standard_errors
+from .inference import _degree_variances, coefficient_inference, node_standard_errors
 
 Z_95 = float(norm.ppf(0.975))
 
@@ -193,7 +193,8 @@ def _score_replication(
     scenario: Scenario, replication: int, truth: ParameterSet, result: FitResult
 ) -> ReplicationRecord:
     m, n = scenario.m, scenario.n
-    jac = result.jacobian
+    v_alpha = result.jacobian.diag_alpha
+    u_diag, _u_tail = _degree_variances(result)
     node_se = node_standard_errors(result)
     tracked = tracked_indices(m, n)
 
@@ -212,12 +213,10 @@ def _score_replication(
         zeta[f"beta:{j}"] = float(err / node_se.beta[j - 1])
 
     # neighbouring-actor contrasts: shared-coupling term drops out
-    var = result.family.variance(result.predictor)
-    u_alpha = var.sum(axis=1)
     for i, j in tracked["alpha_pairs"]:
         se = math.sqrt(
-            u_alpha[i - 1] / jac.diag_alpha[i - 1] ** 2
-            + u_alpha[j - 1] / jac.diag_alpha[j - 1] ** 2
+            u_diag[i - 1] / v_alpha[i - 1] ** 2
+            + u_diag[j - 1] / v_alpha[j - 1] ** 2
         )
         est = result.params.alpha[i - 1] - result.params.alpha[j - 1]
         true = truth.alpha[i - 1] - truth.alpha[j - 1]

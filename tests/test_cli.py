@@ -3,11 +3,12 @@ reproducibility, and environment-variable overrides."""
 
 import json
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from bimoment import cli
+from bimoment import ParameterSet, StructuredJacobian, cli, fitter
 from bimoment.cli import (
     EXIT_CONFIG,
     EXIT_ILL_POSED,
@@ -171,6 +172,110 @@ class TestFitCommand:
         assert "converged fit" in err
         assert "Traceback" not in err
 
+    def test_one_linearization_at_the_estimate(self, fixture_dir, tmp_path, monkeypatch):
+        # the estimate's Jacobian is built once, by fit, and every output
+        # (report, sidecar, components) reads the same inference state
+        counts = Counter()
+
+        def count(owner, name):
+            original = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        count(StructuredJacobian, "__init__")
+        count(StructuredJacobian, "inverse_blocks")
+        count(ParameterSet, "linear_predictor")
+        count(fitter, "profile_jacobian")
+        rc = main([
+            "fit", str(fixture_dir.edges),
+            "--actor-attrs", str(fixture_dir.actor_attrs),
+            "--event-attrs", str(fixture_dir.event_attrs),
+            "--mapping", str(fixture_dir.mapping),
+            "--min-degree", str(fixture_dir.min_degree),
+            "--out-dir", str(tmp_path),
+        ])
+        assert rc == EXIT_OK
+        trace = (tmp_path / "trace.tsv").read_text().splitlines()[1:]
+        halvings = [int(line.split("\t")[1]) for line in trace[1:]]
+        assert counts["__init__"] == len(halvings) + 1
+        assert counts["inverse_blocks"] == 1
+        assert counts["profile_jacobian"] == 0
+        # one predictor pass per evaluated point: the start and every trial
+        assert counts["linear_predictor"] == 1 + sum(h + 1 for h in halvings)
+
+    def test_empty_delimiter_is_usage_error(self, tmp_path, capsys):
+        edges = tmp_path / "edges.tsv"
+        edges.write_text("u1\tm1\n")
+        rc = main(["fit", str(edges), "--delimiter", "", "--out-dir", str(tmp_path / "out")])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "delimiter must not be empty" in err
+        assert "Traceback" not in err
+
+
+def _small_inputs(tmp_path) -> dict:
+    """A valid run's inputs: edges, both attribute tables, a mapping, a
+    scenario and a fit report from a fit of the others."""
+    paths = {name: tmp_path / name for name in (
+        "edges.tsv", "users.tsv", "movies.tsv", "mapping.json", "scenario.json")}
+    paths["edges.tsv"].write_text(
+        "u1\tm1\nu1\tm2\nu2\tm2\nu2\tm3\nu3\tm1\nu3\tm3\n")
+    paths["users.tsv"].write_text("id\tsex\nu1\tM\nu2\tF\nu3\tM\n")
+    paths["movies.tsv"].write_text("id\tgenre\nm1\ta\nm2\tb\nm3\ta\n")
+    paths["mapping.json"].write_text(json.dumps({"mappings": [{
+        "name": "match", "actor_attr": "sex", "event_attr": "genre",
+        "groups": {"a": "M", "b": "F"},
+    }]}))
+    paths["scenario.json"].write_text(json.dumps({
+        "m": 10, "n": 10, "L": 0.0, "gamma_star": [0.5, 1.0], "replications": 1}))
+    assert main(["fit", str(paths["edges.tsv"]), "--out-dir", str(tmp_path / "fit")]) \
+        == EXIT_OK
+    paths["fit.json"] = tmp_path / "fit" / "fit.json"
+    return paths
+
+
+class TestInputEncoding:
+    """An input file that is not valid UTF-8 is an input error (exit 2)
+    naming the file and where the bad byte is, never a traceback."""
+
+    @pytest.mark.parametrize("corrupt, where", [
+        ("edges.tsv", "line 3: "),
+        ("users.tsv", "line 3: "),
+        ("movies.tsv", "line 3: "),
+        ("mapping.json", "position 12"),
+        ("scenario.json", "position 12"),
+        ("fit.json", "position 12"),
+    ])
+    def test_byte_ff_is_an_input_error(self, tmp_path, capsys, corrupt, where):
+        paths = _small_inputs(tmp_path)
+        raw = paths[corrupt].read_bytes()
+        if corrupt.endswith(".tsv"):    # at the start of line 3
+            cut = raw.index(b"\n", raw.index(b"\n") + 1) + 1
+        else:                           # at byte offset 12
+            cut = 12
+        paths[corrupt].write_bytes(raw[:cut] + b"\xff" + raw[cut:])
+        capsys.readouterr()
+        if corrupt == "scenario.json":
+            argv = ["simulate", str(paths[corrupt])]
+        elif corrupt == "fit.json":
+            argv = ["test", str(paths[corrupt]), "--contrast", "alpha:1"]
+        else:
+            argv = ["fit", str(paths["edges.tsv"]),
+                    "--actor-attrs", str(paths["users.tsv"]),
+                    "--event-attrs", str(paths["movies.tsv"]),
+                    "--mapping", str(paths["mapping.json"])]
+        rc = main(argv + ["--out-dir", str(tmp_path / "out")])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert str(paths[corrupt]) in err
+        assert where in err
+        assert "0xff" in err
+        assert "Traceback" not in err
+
 
 class TestTestCommand:
     def test_contrasts_on_fit_report(self, fit_run, capsys):
@@ -310,8 +415,6 @@ class TestEnvironmentOverrides:
     @pytest.mark.parametrize("variable, argv", [
         ("BIMOMENT_TOL", ["fit", "edges.tsv"]),
         ("BIMOMENT_MAX_ITER", ["fit", "edges.tsv"]),
-        ("BIMOMENT_SEED", ["fit", "edges.tsv"]),
-        ("BIMOMENT_THREADS", ["fit", "edges.tsv"]),
         ("BIMOMENT_THREADS", ["simulate", "scenario.json"]),
     ])
     def test_malformed_numeric_environment_is_usage_error(

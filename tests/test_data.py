@@ -227,6 +227,24 @@ class TestEdgeListIO:
         with pytest.raises(DataError, match="line 2"):
             load_edge_list(path)
 
+    def test_empty_delimiter_rejected(self, tmp_path):
+        path = tmp_path / "edges.tsv"
+        path.write_text("u1\tm1\n")
+        with pytest.raises(ConfigError, match="delimiter must not be empty"):
+            load_edge_list(path, delimiter="")
+
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+    def test_not_utf8_reports_line_and_offset(self, tmp_path, newline):
+        path = tmp_path / "edges.tsv"
+        lines = [b"u1\tm1", b"u2\tm2", b"u3\tm\xff3", b"u4\tm4"]
+        path.write_bytes(newline.join(lines) + newline)
+        offset = 2 * (5 + len(newline)) + 4     # after two lines and "u3\tm"
+        with pytest.raises(DataError) as exc:
+            load_edge_list(path)
+        assert str(exc.value) == \
+            f"line 3: {path} is not valid UTF-8 (byte 0xff at offset {offset})"
+        assert exc.value.line_number == 3
+
     def test_bad_weight_reports_line(self, tmp_path):
         path = tmp_path / "bad.tsv"
         path.write_text("u1\tm1\t1\nu2\tm1\tx\n")
@@ -515,4 +533,16 @@ class TestAttributeTable:
         path = tmp_path / "users.tsv"
         path.write_text("id\tsex\nu1\tM\textra\n")
         with pytest.raises(DataError, match="line 2"):
+            load_attribute_table(path)
+
+    def test_empty_delimiter_rejected(self, tmp_path):
+        path = tmp_path / "users.tsv"
+        path.write_text("id\tsex\nu1\tM\n")
+        with pytest.raises(ConfigError, match="delimiter must not be empty"):
+            load_attribute_table(path, delimiter="")
+
+    def test_not_utf8_reports_line(self, tmp_path):
+        path = tmp_path / "users.tsv"
+        path.write_bytes(b"id\tsex\nu1\tM\nu2\t\xe9\n")
+        with pytest.raises(DataError, match=r"^line 3: .* is not valid UTF-8 \(byte 0xe9"):
             load_attribute_table(path)

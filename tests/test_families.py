@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bimoment import ConfigError, DomainError, get_family
+from bimoment.families import LOGISTIC_ETA_CAP, POISSON_ETA_CAP
 
 LOGISTIC = get_family("logistic")
 POISSON = get_family("poisson")
@@ -67,6 +68,24 @@ class TestDerivativeConsistency:
             exact = upper(ETA_GRID)
             scale = np.maximum(np.abs(exact), 1e-3)
             assert np.max(np.abs(fd - exact) / scale) < 1e-5
+
+    @pytest.mark.parametrize("family, cap", [(LOGISTIC, LOGISTIC_ETA_CAP),
+                                             (POISSON, POISSON_ETA_CAP)],
+                             ids=["logistic", "poisson"])
+    def test_slope_from_mean_is_exact(self, family, cap):
+        # the fitter derives its slopes from the mean it already computed;
+        # the values must be the very bits mean_d1 gives, also at and
+        # beyond the clip caps and where the mean underflows
+        eta = np.concatenate([ETA_GRID, np.linspace(-cap - 10.0, cap, 997),
+                              [-cap, cap, -745.0, -800.0, 1e-300, -0.0]])
+        if family is LOGISTIC:
+            eta = np.concatenate([eta, [cap + 1.0, 1e6, -1e6]])
+        for values in (eta, eta[:120].reshape(8, 15)):
+            slope = family.mean_d1_given_mean(values, family.mean(values))
+            assert np.array_equal(slope, family.mean_d1(values))
+        for scalar in (0.0, -cap, cap):
+            assert family.mean_d1_given_mean(scalar, family.mean(scalar)) == \
+                family.mean_d1(scalar)
 
     @pytest.mark.parametrize("family", [LOGISTIC, POISSON], ids=lambda f: f.name)
     def test_mean_strictly_increasing(self, family):

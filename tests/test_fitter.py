@@ -299,9 +299,14 @@ class TestJointSolver:
     def test_few_joint_steps_on_dense_logistic(self):
         class CountingLogistic(LogisticFamily):
             slope_evals = 0
+            mean_d1_evals = 0
+
+            def mean_d1_given_mean(self, eta, mu):
+                self.slope_evals += 1
+                return super().mean_d1_given_mean(eta, mu)
 
             def mean_d1(self, eta):
-                self.slope_evals += 1
+                self.mean_d1_evals += 1
                 return super().mean_d1(eta)
 
         rng = np.random.default_rng([20260810, 100])
@@ -314,8 +319,10 @@ class TestJointSolver:
         steps = result.trace[-1].outer_iteration
         assert [rec.outer_iteration for rec in result.trace] == list(range(steps + 1))
         assert steps <= 8
-        # one linearization per joint step, plus one for the Jacobian summary
+        # one linearization per joint step, plus one at the estimate, each
+        # from the mean its point already computed
         assert family.slope_evals == steps + 1
+        assert family.mean_d1_evals == 0
 
     def test_out_of_domain_trials_are_halved(self):
         class CountingPoisson(PoissonFamily):

@@ -2,6 +2,7 @@
 oracles, standard-error arithmetic, Fisher/sandwich agreement, both bias
 formulas with their cross-checks, and Wald tests."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from bimoment import (
     IllPosedError,
     MomentResiduals,
     ParameterSet,
+    StructuredJacobian,
     approx_inverse,
     bias_corrected_coefficients,
     build_jacobian,
@@ -45,13 +47,15 @@ POISSON = get_family("poisson")
 def synthetic_fit(graph, cov, family, params):
     """Assemble a FitResult at given parameters (residuals marked zero),
     for inference formulas that only read the fitted point."""
+    pi = params.linear_predictor(cov)
     return FitResult(
         params=params,
         residuals=MomentResiduals(degree=np.zeros(graph.m + graph.n - 1),
                                   covariate=np.zeros(cov.p)),
         converged=True,
         trace=(),
-        jacobian_summary={},
+        predictor=pi,
+        jacobian=StructuredJacobian(family.mean_d1(pi)),
         graph=graph,
         covariates=cov,
         family=family,
@@ -230,13 +234,128 @@ class TestCoefficientCovariance:
         result = fit(graph, cov, LOGISTIC)
         calls = []
 
-        def counting_profile_jacobian(*args):
+        def counting_information(*args):
             calls.append(args)
-            return profile_jacobian(*args)
+            return information(*args)
 
-        monkeypatch.setattr(inference, "profile_jacobian", counting_profile_jacobian)
-        coefficient_inference(result)
+        information = inference._information
+        monkeypatch.setattr(inference, "_information", counting_information)
+        for method in ("fisher", "sandwich"):
+            coefficient_inference(result, method)
+            coefficient_covariance(result, method)
+            components_from_fit(result, method)
+            report_rows(result, method)
         assert len(calls) == 1
+
+
+def from_scratch(result, method):
+    """Everything the inference state caches, recomputed from the fitted
+    parameters alone with the formulas' own arithmetic: a fresh predictor
+    and Jacobian, ``profile_jacobian`` for ``H`` and a fresh
+    ``build_jacobian(...).inverse_blocks()`` for the bias term."""
+    params, cov, family = result.params, result.covariates, result.family
+    m, n, big_n = result.m, result.n, result.n_edges
+    pi = params.linear_predictor(cov)
+    jac = build_jacobian(params, cov, family)
+    var = family.variance(pi)
+    u_diag = np.concatenate([var.sum(axis=1), var[:, :-1].sum(axis=0)])
+    u_tail = float(var[:, -1].sum())
+    node_se = np.sqrt(u_diag / jac.diag**2 + u_tail / jac.v_tail**2)
+    out = dict(node_se=node_se, v_diag=jac.diag, v_tail=jac.v_tail,
+               u_diag=u_diag, u_tail=u_tail)
+    if cov.p == 0:
+        return out | dict(covariance=np.zeros((0, 0)), b_star=np.zeros(0),
+                          estimate_bc=np.zeros(0))
+    h = profile_jacobian(params, cov, family)
+    h_inv = np.linalg.inv(h)
+    if method == "fisher":
+        gamma_cov = h_inv
+    else:
+        fresh = synthetic_fit(result.graph, cov, family, params)
+        gamma_cov = h_inv @ score_terms(fresh).sigma @ h_inv
+    gamma_cov = 0.5 * (gamma_cov + gamma_cov.T)
+    inv_alpha_diag, inv_cross, inv_beta_diag = \
+        build_jacobian(params, cov, family).inverse_blocks()
+    q = np.empty((m, n))
+    q[:, : n - 1] = inv_alpha_diag[:, None] + 2.0 * inv_cross + inv_beta_diag[None, :]
+    q[:, n - 1] = inv_alpha_diag
+    b_star = np.einsum("ijk,ij->k", cov.values, family.mean_d2(pi) * q) \
+        / (2.0 * math.sqrt(big_n))
+    gamma_bc = params.gamma + np.linalg.solve(h / big_n, b_star) / math.sqrt(big_n)
+    return out | dict(covariance=gamma_cov, b_star=b_star, estimate_bc=gamma_bc)
+
+
+class TestInferenceState:
+    """Inference reads one state per fit: the fit's own predictor and
+    Jacobian and the small quantities derived from them, each computed
+    once and bit-identical to a from-scratch recomputation."""
+
+    @pytest.mark.parametrize("family, p", [(LOGISTIC, 2), (POISSON, 1), (LOGISTIC, 0)],
+                             ids=["logistic-p2", "poisson-p1", "logistic-p0"])
+    def test_cached_state_matches_recomputation(self, rng, family, p):
+        graph, cov, _ = feasible_instance(rng, 12, 9, p, family)
+        result = fit(graph, cov, family)
+        for method in ("fisher", "sandwich"):
+            want = from_scratch(result, method)
+            for _ in range(2):      # the first call fills the state, the second reads it
+                ci = coefficient_inference(result, method)
+                comp = components_from_fit(result, method)
+                se = node_standard_errors(result)
+                assert np.array_equal(ci.covariance, want["covariance"])
+                assert np.array_equal(coefficient_covariance(result, method),
+                                      want["covariance"])
+                assert np.array_equal(ci.standard_errors, np.sqrt(np.diag(want["covariance"])))
+                assert np.array_equal(ci.b_star, want["b_star"])
+                assert np.array_equal(ci.estimate_bc, want["estimate_bc"])
+                assert np.array_equal(comp.gamma_covariance, want["covariance"])
+                for name in ("v_diag", "v_tail", "u_diag", "u_tail"):
+                    assert np.array_equal(getattr(comp, name), want[name])
+                assert np.array_equal(np.concatenate([se.alpha, se.beta]), want["node_se"])
+
+    def test_fit_linearization_matches_parameters(self, rng):
+        graph, cov, _ = feasible_instance(rng, 10, 14, 2, POISSON)
+        result = fit(graph, cov, POISSON)
+        pi = result.params.linear_predictor(cov)
+        assert np.array_equal(result.predictor, pi)
+        assert np.array_equal(result.jacobian.slopes, POISSON.mean_d1(pi))
+        assert result.jacobian_summary == build_jacobian(
+            result.params, cov, POISSON).summary()
+
+    def test_state_keeps_only_small_read_only_results(self, rng):
+        graph, cov, _ = feasible_instance(rng, 12, 9, 2, LOGISTIC)
+        result = fit(graph, cov, LOGISTIC)
+        for method in ("fisher", "sandwich"):
+            report_rows(result, method)
+            components_from_fit(result, method)
+
+        def arrays_in(value):
+            if isinstance(value, np.ndarray):
+                return [value]
+            if dataclasses.is_dataclass(value):
+                value = tuple(vars(value).values())
+            if isinstance(value, tuple):
+                return [arr for item in value for arr in arrays_in(item)]
+            return []
+
+        # u_diag, the node SEs of both sides, H, two covariances, b_star, gamma_bc
+        arrays = arrays_in(tuple(result.inference_cache.values()))
+        assert len(arrays) == 8
+        for arr in arrays:
+            assert not arr.flags.writeable
+            assert arr.size <= max(cov.p**2, graph.m + graph.n - 1)
+        with pytest.raises(ValueError):
+            coefficient_inference(result).covariance[0, 0] = 1.0
+
+    def test_unconverged_fit_raises_after_the_state_is_filled(self, rng):
+        graph, cov, _ = feasible_instance(rng, 8, 7, 1, LOGISTIC)
+        result = fit(graph, cov, LOGISTIC)
+        report_rows(result)
+        components_from_fit(result)
+        object.__setattr__(result, "converged", False)
+        for reader in (node_standard_errors, coefficient_inference,
+                       coefficient_covariance, components_from_fit, report_rows):
+            with pytest.raises(FitError, match="converged fit"):
+                reader(result)
 
 
 class TestIncidentalBias:
