@@ -23,7 +23,8 @@ from .errors import ConfigError, DataError
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=float, copy=True)
+    """A read-only C-contiguous float copy of ``arr``."""
+    out = np.array(arr, dtype=float, order="C", copy=True)
     out.setflags(write=False)
     return out
 
@@ -101,6 +102,21 @@ class CovariateTensor:
     ``p = 0`` is the pure bipartite model without covariates.  The sup
     norm bound of the entries is recorded at construction; declaring a
     tighter bound than the data satisfies is an error.
+
+    ``values`` is stored C-contiguous whatever the input's memory order,
+    so ``flat``, the (m*n, p) matrix with one row per dyad ``(i, j)`` at
+    row ``i * n + j``, is a view and never a copy.  The model contracts
+    ``z`` against an m x n weight matrix ``w`` in three ways, each a BLAS
+    product on that layout rather than a nested loop over (i, j, k):
+
+    * ``total(w)``, ``sum_ij w_ij z_ij``: one matrix-vector product on
+      ``flat``;
+    * ``gram(w)``, ``sum_ij w_ij z_ij z_ij^T``: ``flat^T (w * flat)``,
+      one matrix-matrix product (``weighted_gram``);
+    * ``margins(w)``, the actor sums ``sum_j w_ij z_ij`` and the event
+      sums ``sum_i w_ij z_ij``: one batched matrix-vector product per
+      side, the actor side on contiguous (n, p) slices and the event side
+      on strided (m, p) slices.
     """
 
     values: np.ndarray
@@ -140,9 +156,38 @@ class CovariateTensor:
     def p(self) -> int:
         return self.values.shape[2]
 
+    @property
+    def flat(self) -> np.ndarray:
+        """The (m*n, p) view of ``values``, one row per dyad in row-major
+        order (explicit sizes, so ``p = 0`` works too)."""
+        return self.values.reshape(self.m * self.n, self.p)
+
+    def total(self, weights: np.ndarray) -> np.ndarray:
+        """``sum_ij w_ij z_ij`` (length p) for an m x n matrix ``w``."""
+        return np.reshape(weights, self.m * self.n) @ self.flat
+
+    def gram(self, weights: np.ndarray) -> np.ndarray:
+        """``sum_ij w_ij z_ij z_ij^T`` (p x p) for an m x n matrix ``w``."""
+        return weighted_gram(self.flat, weights)
+
+    def margins(self, weights: np.ndarray) -> tuple:
+        """``(actor, event)`` for an m x n matrix ``w``: ``actor[i] =
+        sum_j w_ij z_ij`` (m x p) and ``event[j] = sum_i w_ij z_ij``
+        (n x p)."""
+        actor = np.matmul(weights[:, None, :], self.values)[:, 0, :]
+        event = np.matmul(weights.T[:, None, :], self.values.transpose(1, 0, 2))[:, 0, :]
+        return actor, event
+
     @classmethod
     def empty(cls, m: int, n: int) -> "CovariateTensor":
         return cls(values=np.zeros((m, n, 0)), bound=0.0)
+
+
+def weighted_gram(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """``sum_r w_r rows_r rows_r^T`` for an (N, p) matrix of rows and N
+    weights (any shape with N entries): one BLAS matrix product.  The
+    result is symmetric only up to rounding."""
+    return rows.T @ (rows * np.reshape(weights, (-1, 1)))
 
 
 @dataclass(frozen=True)

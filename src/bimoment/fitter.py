@@ -27,6 +27,11 @@ through the p x p information matrix ``H``.  The
 degree solve at fixed ``gamma`` and the profiled covariate residuals stay
 as the profile API, the reference against which ``H`` is checked.
 
+Every covariate sum over dyads (``z @ gamma`` in the predictor, the
+totals ``sum_ij z_ij w_ij``, ``A`` and the mixed derivatives ``C``) is a
+BLAS product on the C-contiguous (m*n, p) view ``CovariateTensor.flat``;
+``CovariateTensor`` says which product each one is.
+
 A solution need not exist (a zero-degree actor under a positive mean
 function, for instance); divergence is detected and reported as
 ``NonExistenceError`` rather than looping forever.
@@ -110,7 +115,7 @@ class ParameterSet:
         """The m x n matrix pi_ij = alpha_i + beta_j + z_ij @ gamma."""
         pi = self.alpha[:, None] + self.beta[None, :]
         if self.p:
-            pi = pi + covariates.values @ self.gamma
+            pi = pi + (covariates.flat @ self.gamma).reshape(self.m, self.n)
         return pi
 
 
@@ -372,7 +377,7 @@ def covariate_residuals(
     if covariates.p == 0:
         return np.zeros(0)
     mu = family.mean(params.linear_predictor(covariates))
-    return np.einsum("ijk,ij->k", covariates.values, mu - graph.weights)
+    return covariates.total(mu - graph.weights)
 
 
 def build_jacobian(
@@ -516,10 +521,10 @@ def profile_jacobian(
 
 def _information(covariates, slopes, c, x_c) -> tuple:
     """``H = A - C X_C`` with ``A = sum_ij z z^T mu'`` and ``X_C = V^{-1}
-    C^T``, plus its lower Cholesky factor.  Raises ``IllPosedError``
-    unless ``H`` is symmetric positive definite."""
-    z = covariates.values
-    h = np.einsum("ijk,ijl,ij->kl", z, z, slopes) - c @ x_c
+    C^T``, plus its lower Cholesky factor.  ``A`` is one BLAS product on
+    the covariates' (m*n, p) view (``CovariateTensor.gram``).  Raises
+    ``IllPosedError`` unless ``H`` is symmetric positive definite."""
+    h = covariates.gram(slopes) - c @ x_c
     h = 0.5 * (h + h.T)
     try:
         chol = np.linalg.cholesky(h)
@@ -536,11 +541,11 @@ def mixed_moment_derivative(
 ) -> np.ndarray:
     """The p x (m+n-1) matrix of covariate-residual derivatives in the
     degree parameters: column i is ``sum_j z_ij mu'_ij``, column m+j is
-    ``sum_i z_ij mu'_ij`` (events 1..n-1)."""
-    z = covariates.values
-    cols_alpha = np.einsum("ijk,ij->ki", z, slopes)
-    cols_beta = np.einsum("ijk,ij->kj", z[:, :-1, :], slopes[:, :-1])
-    return np.concatenate([cols_alpha, cols_beta], axis=1)
+    ``sum_i z_ij mu'_ij`` (events 1..n-1).  Both sides are the batched
+    BLAS products of ``CovariateTensor.margins``; the dropped event's sum
+    is computed and discarded."""
+    actor, event = covariates.margins(slopes)
+    return np.concatenate([actor.T, event[:-1].T], axis=1)
 
 
 def fit(
@@ -562,7 +567,8 @@ def fit(
     [f, C^T]`` (a single Schur factorization), then ``dgamma = H^{-1} (q -
     C x_f)`` with ``H = A - C X_C`` and ``dtheta = x_f - X_C dgamma``.  The
     step is halved until ``max(|f|_inf, |q|_inf)`` decreases; a trial
-    point outside the family's working domain counts as a failed trial.
+    point that is not finite or lies outside the family's working domain
+    counts as a failed trial.
     With ``p = 0`` this is Newton's method on the degree equations alone.
 
     It stops once ``|f|_inf <= tol_inner`` and ``|q|_inf <= tol_outer``.
@@ -621,7 +627,7 @@ def _damped_newton(graph, covariates, family, deg, theta, gamma, options, free_g
     m, n = graph.m, graph.n
     observed_degrees = np.concatenate([deg.d, deg.b[:-1]])
     if free_gamma:
-        observed_totals = np.einsum("ijk,ij->k", covariates.values, graph.weights)
+        observed_totals = covariates.total(graph.weights)
         max_steps, cap_error = options.max_outer, MaxIterationsError
     else:
         max_steps, cap_error = options.max_inner, NonExistenceError
@@ -632,7 +638,7 @@ def _damped_newton(graph, covariates, family, deg, theta, gamma, options, free_g
         mu = family.mean(pi)
         f = np.concatenate([mu.sum(axis=1), mu[:, :-1].sum(axis=0)]) - observed_degrees
         if free_gamma:
-            q = np.einsum("ijk,ij->k", covariates.values, mu) - observed_totals
+            q = covariates.total(mu) - observed_totals
         else:
             q = np.zeros(0)
         return params, pi, mu, MomentResiduals(degree=f, covariate=q)
@@ -664,6 +670,8 @@ def _damped_newton(graph, covariates, family, deg, theta, gamma, options, free_g
         for halvings in range(options.max_halvings + 1):
             scale = 0.5**halvings
             trial_theta, trial_gamma = theta - scale * dtheta, gamma - scale * dgamma
+            if not (np.isfinite(trial_theta).all() and np.isfinite(trial_gamma).all()):
+                continue  # a non-finite direction gives no trial point at any scale
             try:
                 trial = evaluate(trial_theta, trial_gamma)
             except DomainError:

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import norm
 
+from .data import weighted_gram
 from .errors import ConfigError, FitError
 from .fitter import (
     FitResult,
@@ -160,7 +161,9 @@ class ScoreTermSet:
 
 
 def score_terms(fit: FitResult) -> ScoreTermSet:
-    """Assemble the score covariance with exact inverse applications."""
+    """Assemble the score covariance with exact inverse applications.
+    ``sigma`` is one BLAS product on the (m*n, p) view of ``ztilde``
+    (``data.weighted_gram``, as ``CovariateTensor.gram``)."""
     jac = fit.jacobian
     z = fit.covariates.values
     m, n, p = fit.m, fit.n, fit.covariates.p
@@ -170,7 +173,7 @@ def score_terms(fit: FitResult) -> ScoreTermSet:
     ztilde -= k[:, :m].T[:, None, :]
     ztilde[:, : n - 1, :] -= k[:, m:].T[None, :, :]
     var = fit.family.variance(fit.predictor)
-    sigma = np.einsum("ijk,ijl,ij->kl", ztilde, ztilde, var)
+    sigma = weighted_gram(ztilde.reshape(m * n, p), var)
     sigma = 0.5 * (sigma + sigma.T)
     return ScoreTermSet(adjusted_covariates=ztilde, sigma=sigma)
 
@@ -256,7 +259,7 @@ def incidental_bias_expfam(fit: FitResult, use_approx: bool = False) -> np.ndarr
         return np.zeros(0)
     mu2 = fit.family.mean_d2(fit.predictor)
     q = _pair_inverse_quadratics(fit, use_approx)
-    total = np.einsum("ijk,ij->k", fit.covariates.values, mu2 * q)
+    total = fit.covariates.total(mu2 * q)
     return total / (2.0 * math.sqrt(fit.n_edges))
 
 
@@ -292,7 +295,7 @@ def incidental_bias_general(fit: FitResult, use_approx: bool = False) -> np.ndar
     )
     q[:, n - 1] = w[idx_a, idx_a]
     mu2 = fit.family.mean_d2(fit.predictor)
-    total = np.einsum("ijk,ij->k", fit.covariates.values, mu2 * q)
+    total = fit.covariates.total(mu2 * q)
     return total / (2.0 * math.sqrt(fit.n_edges))
 
 

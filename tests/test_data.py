@@ -428,6 +428,62 @@ class TestCovariateTensor:
         tensor = CovariateTensor.empty(3, 4)
         assert tensor.p == 0 and tensor.values.shape == (3, 4, 0)
 
+    @pytest.mark.parametrize("layout", ["C", "F", "moveaxis", "strided", "p0"])
+    def test_flat_is_a_view_whatever_the_input_order(self, layout):
+        base = np.arange(2 * 3 * 4, dtype=float).reshape(2, 3, 4)
+        values = {
+            "C": base,
+            "F": np.asfortranarray(base),
+            "moveaxis": np.moveaxis(base.reshape(4, 2, 3), 0, 2),
+            "strided": np.arange(2 * 6 * 4, dtype=float).reshape(2, 6, 4)[:, ::2],
+            "p0": np.zeros((2, 3, 0)),
+        }[layout]
+        tensor = CovariateTensor(values)
+        assert tensor.values.flags.c_contiguous
+        assert tensor.flat.shape == (6, tensor.p)
+        assert tensor.flat.base is tensor.values
+        np.testing.assert_array_equal(tensor.flat, np.reshape(values, (6, tensor.p)))
+        if tensor.p:    # an empty array shares no memory with anything
+            assert np.shares_memory(tensor.flat, tensor.values)
+
+
+def einsum_contractions(z, w):
+    """The covariate contractions as ``np.einsum`` computes them: the
+    oracle the BLAS products of ``CovariateTensor`` are checked against."""
+    return dict(
+        total=np.einsum("ijk,ij->k", z, w),
+        gram=np.einsum("ijk,ijl,ij->kl", z, z, w),
+        actor=np.einsum("ijk,ij->ik", z, w),
+        event=np.einsum("ijk,ij->jk", z, w),
+    )
+
+
+class TestCovariateContractions:
+    """``total``, ``gram`` and ``margins`` against the einsum oracle, for
+    contiguous and non-contiguous covariates and weights."""
+
+    @pytest.mark.parametrize("p", [0, 1, 3])
+    @pytest.mark.parametrize("shape", [(1, 5), (5, 2), (3, 9), (9, 3)])
+    @pytest.mark.parametrize("layout", ["contiguous", "fortran", "strided"])
+    def test_match_einsum_oracle(self, shape, p, layout):
+        m, n = shape
+        rng = np.random.default_rng([m, n, p])
+        z = rng.normal(size=(m, 2 * n, p))
+        w = rng.uniform(0.1, 2.0, size=(2 * n, m)).T
+        if layout == "contiguous":
+            z, w = np.ascontiguousarray(z[:, :n]), np.ascontiguousarray(w[:, :n])
+        elif layout == "fortran":
+            z, w = np.asfortranarray(z[:, :n]), np.asfortranarray(w[:, :n])
+        else:
+            z, w = z[:, ::2], w[:, ::2]
+        tensor = CovariateTensor(z)
+        want = einsum_contractions(z, w)
+        actor, event = tensor.margins(w)
+        got = dict(total=tensor.total(w), gram=tensor.gram(w), actor=actor, event=event)
+        for name, value in got.items():
+            assert value.shape == want[name].shape, name
+            np.testing.assert_allclose(value, want[name], rtol=1e-12, atol=0, err_msg=name)
+
 
 def attrs(columns, rows):
     return NodeAttributeTable(columns=columns, rows=rows)

@@ -32,6 +32,7 @@ from bimoment import (
     simulate_network,
     solve_degree_params,
 )
+from bimoment import fitter
 from bimoment.families import LogisticFamily, PoissonFamily
 from bimoment.fitter import StructuredJacobian, mixed_moment_derivative
 from bimoment.simlab import Scenario, run_replication
@@ -351,6 +352,20 @@ class TestJointSolver:
         record = run_replication(EXTREME_POISSON, 8)
         assert record.replication == 8
         assert not record.converged
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("p", [0, 2])
+    def test_non_finite_direction_is_a_stall(self, rng, monkeypatch, bad, p):
+        graph, cov, _ = feasible_instance(rng, 6, 5, p, LOGISTIC)
+
+        def non_finite_direction(slopes, covariates, res):
+            dtheta = np.zeros(graph.m + graph.n - 1)
+            dtheta[0] = bad
+            return dtheta, np.zeros(covariates.p)
+
+        monkeypatch.setattr(fitter, "_newton_direction", non_finite_direction)
+        with pytest.raises(NonExistenceError, match="stalled"):
+            fit(graph, cov, LOGISTIC)
 
 
 class TestProfileJacobian:

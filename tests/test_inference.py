@@ -279,8 +279,7 @@ def from_scratch(result, method):
     q = np.empty((m, n))
     q[:, : n - 1] = inv_alpha_diag[:, None] + 2.0 * inv_cross + inv_beta_diag[None, :]
     q[:, n - 1] = inv_alpha_diag
-    b_star = np.einsum("ijk,ij->k", cov.values, family.mean_d2(pi) * q) \
-        / (2.0 * math.sqrt(big_n))
+    b_star = cov.total(family.mean_d2(pi) * q) / (2.0 * math.sqrt(big_n))
     gamma_bc = params.gamma + np.linalg.solve(h / big_n, b_star) / math.sqrt(big_n)
     return out | dict(covariance=gamma_cov, b_star=b_star, estimate_bc=gamma_bc)
 
