@@ -1,8 +1,9 @@
 """Moment-based fitting and inference for covariate-adjusted bipartite
 network models: degree-heterogeneity parameters for both node sets, a
-fixed-dimensional covariate coefficient, exact structured Newton
-solvers, asymptotic standard errors with analytic bias correction, and
-a Monte-Carlo laboratory."""
+fixed-dimensional covariate coefficient, structured Newton solvers
+(exact Schur factorizations on small node sets, preconditioned conjugate
+gradients on large ones), asymptotic standard errors with analytic bias
+correction, and a Monte-Carlo laboratory."""
 
 from .data import (
     BipartiteGraph,
@@ -33,9 +34,11 @@ from .families import LogisticFamily, ModelFamily, PoissonFamily, get_family
 from .fitter import (
     FitOptions,
     FitResult,
+    InverseApproximation,
     MomentResiduals,
     ParameterSet,
     StructuredJacobian,
+    approx_inverse,
     build_jacobian,
     covariate_residuals,
     degree_residuals,
@@ -48,10 +51,8 @@ from .inference import (
     Contrast,
     GammaInference,
     InferenceComponents,
-    InverseApproximation,
     NodeStandardErrors,
     WaldTest,
-    approx_inverse,
     bias_corrected_coefficients,
     coefficient_covariance,
     coefficient_inference,

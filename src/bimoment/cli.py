@@ -19,7 +19,11 @@ formatting: re-running a command reproduces them byte for byte.
 solver (one ``IterationRecord`` each): ``outer_iteration`` is the step
 index, 0 for the starting point; ``inner_iterations`` is the number of
 step halvings the step needed; ``degree_norm`` and ``covariate_norm``
-are the sup norms of the degree and covariate residuals after the step.
+are the sup norms of the degree and covariate residuals after the step;
+``linear_iterations`` is the number of preconditioned conjugate-gradient
+iterations of the step's degree solve, 0 for the starting point and for
+a step that factored the Schur complement instead (node sets where
+min(m, n-1) is below ``fitter.PCG_MIN_KEPT``).
 
 Exit codes: 0 success, 2 config/parse error (including an input file
 that is not valid UTF-8, or an empty delimiter), 3 fitting failure (any
@@ -194,11 +198,13 @@ def cmd_fit(args) -> int:
         pinned_note=f"beta:{graph.n} ({graph.event_labels[-1]}) pinned to 0",
     )
     with open(out_dir / "trace.tsv", "w", encoding="utf-8") as fh:
-        fh.write("outer_iteration\tinner_iterations\tdegree_norm\tcovariate_norm\n")
+        fh.write("outer_iteration\tinner_iterations\tdegree_norm\tcovariate_norm"
+                 "\tlinear_iterations\n")
         for rec in result.trace:
             fh.write(
                 f"{rec.outer_iteration}\t{rec.inner_iterations}\t"
-                f"{rec.degree_norm:.10g}\t{rec.covariate_norm:.10g}\n"
+                f"{rec.degree_norm:.10g}\t{rec.covariate_norm:.10g}\t"
+                f"{rec.linear_iterations}\n"
             )
 
     comp = components_from_fit(result, method=args.method)

@@ -20,12 +20,18 @@ their model expectations:
 The solver is one damped Newton iteration on the joint vector
 ``(theta, gamma)`` (``theta``: alpha, then beta[:-1]).  Each step solves
 the degree block, diagonally dominant with two diagonal blocks plus a
-dense cross block, exactly: it eliminates the larger of the two diagonal
-blocks and factors the Schur complement of the smaller one, so a step
-costs O(mn min(m, n)) rather than O(n^3).  ``gamma`` is eliminated
-through the p x p information matrix ``H``.  The
-degree solve at fixed ``gamma`` and the profiled covariate residuals stay
-as the profile API, the reference against which ``H`` is checked.
+dense cross block, in one of two ways chosen from its shape.  While the
+smaller side k = min(m, n-1) has fewer than ``PCG_MIN_KEPT`` nodes, it
+is solved exactly: the larger diagonal block is eliminated and the
+Schur complement of the smaller one factored, O(mn k + k^3) per step.
+On larger node sets it is solved matrix-free by preconditioned
+conjugate gradients, O(mn) per iteration, preconditioned by the
+closed-form diagonal-plus-coupling inverse (``approx_inverse``), with
+the exact solve as fallback.  ``gamma`` is eliminated through the p x p
+information matrix ``H``.  The Jacobian at the estimate, which inference
+reads, is always factored exactly.  The degree solve at fixed ``gamma``
+and the profiled covariate residuals stay as the profile API, the
+reference against which ``H`` is checked.
 
 Every covariate sum over dyads (``z @ gamma`` in the predictor, the
 totals ``sum_ij z_ij w_ij``, ``A`` and the mixed derivatives ``C``) is a
@@ -60,6 +66,23 @@ from .families import ModelFamily
 # Divergence guard: beyond this magnitude every shipped family is fully
 # saturated, so a parameter escaping it signals nonexistence.
 PARAM_CAP = 40.0
+
+# Newton directions go to preconditioned CG (``StructuredJacobian.pcg_solve``)
+# once the side the Schur complement keeps, k = min(m, n-1), has this many
+# nodes.  Measured with one BLAS thread on logistic slopes at L = 0 and
+# L = -log m, per solve of 3 right-hand sides, factored vs CG: (200, 200)
+# 1.1-1.4 vs 1.2-1.7 ms, (256, 256) 1.6-2.1 vs 1.2-1.6 ms, (300, 300)
+# 2.5-4.0 vs 1.5-1.8 ms, (695, 755) 29-43 vs 12-14 ms, and (100, 1500),
+# which stays factored, 1.6-1.7 vs 2.5-3.3 ms.  With one right-hand side
+# the crossover is near k = 150-200.
+PCG_MIN_KEPT = 256
+# Each column is solved to this relative residual, in the preconditioned
+# norm.  No inexact-Newton forcing: a looser solve saves a few O(mn)
+# products per step but risks extra Newton steps, each a full m x n pass.
+PCG_RTOL = 1e-12
+# CG iterations before a solve falls back to the exact factorization; the
+# preconditioner needs about 6-11 at the shapes measured above.
+PCG_MAX_ITER = 50
 
 
 @dataclass(frozen=True)
@@ -168,11 +191,13 @@ class StructuredJacobian:
 
     which is symmetric, nonnegative, diagonally dominant (the actor rows
     carry a surplus of ``w_in``, the dropped event column) and therefore
-    positive definite.  Solves eliminate the larger diagonal block and
-    factor the Schur complement of the smaller one: the m x m complement
-    ``diag_alpha - W diag_beta^{-1} W^T`` (``W = cross``) when
-    ``m <= n-1``, the (n-1) x (n-1) complement on the event side
-    otherwise.  Either way the solve is exact.
+    positive definite.  ``solve`` and ``inverse_blocks`` are exact: they
+    eliminate the larger diagonal block and factor the Schur complement
+    of the smaller one, the m x m complement ``diag_alpha - W
+    diag_beta^{-1} W^T`` (``W = cross``) when ``m <= n-1``, the (n-1) x
+    (n-1) complement on the event side otherwise.  ``pcg_solve`` factors
+    nothing: it runs preconditioned conjugate gradients on products with
+    ``V``, O(mn) each.
     """
 
     def __init__(self, slopes: np.ndarray):
@@ -276,6 +301,59 @@ class StructuredJacobian:
             return inv_kept_diag, inv_cross.T, inv_elim_diag
         return inv_elim_diag, inv_cross, inv_kept_diag
 
+    def pcg_solve(self, rhs: np.ndarray) -> tuple:
+        """Solve ``V x = rhs`` by preconditioned conjugate gradients;
+        returns ``(x, iterations)``.  Accepts a vector or a matrix of
+        stacked right-hand sides.
+
+        The columns run as one batched CG: each keeps its own CG scalars,
+        and all share one product with ``V`` per iteration (two passes
+        over the cross block).  The preconditioner is the closed-form
+        inverse approximation (``approx_inverse``).  A column stops
+        updating once its residual, in the preconditioner's norm, is at
+        most ``PCG_RTOL`` times its initial one; a zero column never
+        starts, so it returns exact zeros.  If a column is still short of
+        that after ``PCG_MAX_ITER`` iterations, the whole solve is redone
+        exactly by ``solve``.
+        """
+        rhs = np.asarray(rhs, dtype=float)
+        b = rhs.reshape(self.dim, -1)
+        precond = approx_inverse(self)
+        x = np.zeros_like(b)
+        z = precond.apply(b)
+        rz = _column_dots(b, z)
+        stop = PCG_RTOL**2 * rz
+        active = np.flatnonzero(rz > stop)
+        r, d, rz = b[:, active], z[:, active], rz[active]
+        iterations = 0
+        while active.size:
+            if iterations == PCG_MAX_ITER:
+                return self.solve(rhs), iterations
+            iterations += 1
+            vd = self._product(d)
+            step = rz / _column_dots(d, vd)
+            x[:, active] += step * d
+            r = r - step * vd
+            z = precond.apply(r)
+            rz_next = _column_dots(r, z)
+            going = rz_next > stop[active]
+            d = z[:, going] + (rz_next[going] / rz[going]) * d[:, going]
+            active, r, rz = active[going], r[:, going], rz_next[going]
+        return (x[:, 0] if rhs.ndim == 1 else x), iterations
+
+    def _product(self, x: np.ndarray) -> np.ndarray:
+        """``V @ x`` for stacked columns, from the slopes: two BLAS
+        products with the cross block, no matrix formed.  The event side
+        is computed as ``(x_a^T W)^T``: with a few columns OpenBLAS runs
+        that about twice as fast as ``W^T x_a``."""
+        actors, events = x[: self.m], x[self.m :]
+        out = np.empty_like(x)
+        out[: self.m] = self.cross @ events
+        out[: self.m] += self.diag_alpha[:, None] * actors
+        out[self.m :] = (actors.T @ self.cross).T
+        out[self.m :] += self.diag_beta[:, None] * events
+        return out
+
     def dense(self) -> np.ndarray:
         """Materialize the full (m+n-1) x (m+n-1) matrix (for tests and
         small-scale oracles)."""
@@ -297,16 +375,67 @@ class StructuredJacobian:
         }
 
 
+def _column_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot product of each column of ``a`` with the same column of ``b``."""
+    return np.einsum("ij,ij->j", a, b)
+
+
+@dataclass(frozen=True)
+class InverseApproximation:
+    """Closed-form approximation to the inverse of the structured Jacobian.
+
+    The approximation is a diagonal part plus a rank-one coupling through
+    the total weight of the dropped event column:  entry (i, j) equals
+    ``delta_ij / v_ii`` plus ``1 / v_tail`` with a positive sign inside
+    the actor block and the event block and a negative sign across them.
+    """
+
+    inv_diag: np.ndarray
+    inv_coupling: float
+    n_actors: int
+
+    @property
+    def _signs(self) -> np.ndarray:
+        s = np.ones(self.inv_diag.shape[0])
+        s[self.n_actors :] = -1.0
+        return s
+
+    def materialize(self) -> np.ndarray:
+        s = self._signs
+        return np.diag(self.inv_diag) + self.inv_coupling * np.outer(s, s)
+
+    def apply(self, vec: np.ndarray) -> np.ndarray:
+        """Product with a vector, or with stacked columns (dim x r),
+        without materializing the full matrix."""
+        vec = np.asarray(vec, dtype=float)
+        s = self._signs
+        column = (-1,) + (1,) * (vec.ndim - 1)
+        coupled = self.inv_coupling * (s @ vec)   # a scalar, or one per column
+        return self.inv_diag.reshape(column) * vec + s.reshape(column) * coupled
+
+
+def approx_inverse(jacobian: StructuredJacobian) -> InverseApproximation:
+    """Build the diagonal-plus-coupling inverse approximation."""
+    return InverseApproximation(
+        inv_diag=1.0 / jacobian.diag,
+        inv_coupling=1.0 / jacobian.v_tail,
+        n_actors=jacobian.m,
+    )
+
+
 @dataclass(frozen=True)
 class IterationRecord:
     """One convergence-trace row: the Newton step index (0 for the start),
-    the step halvings that step needed, and the residual sup norms at the
-    accepted point."""
+    the step halvings that step needed, the residual sup norms at the
+    accepted point, and the conjugate-gradient iterations of the step's
+    degree solve (0 for the start and for a step that factored the Schur
+    complement; a step whose CG reached ``PCG_MAX_ITER`` also factored)."""
 
     outer_iteration: int
     inner_iterations: int
     degree_norm: float
     covariate_norm: float
+    linear_iterations: int
 
 
 @dataclass(frozen=True)
@@ -564,17 +693,23 @@ def fit(
         [ C   A  ] [dgamma] = [q]
 
     by eliminating the degree block: one stacked solve ``V [x_f, X_C] =
-    [f, C^T]`` (a single Schur factorization), then ``dgamma = H^{-1} (q -
-    C x_f)`` with ``H = A - C X_C`` and ``dtheta = x_f - X_C dgamma``.  The
-    step is halved until ``max(|f|_inf, |q|_inf)`` decreases; a trial
-    point that is not finite or lies outside the family's working domain
-    counts as a failed trial.
+    [f, C^T]``, then ``dgamma = H^{-1} (q - C x_f)`` with ``H = A - C
+    X_C`` and ``dtheta = x_f - X_C dgamma``.  The stacked solve factors
+    the Schur complement once while the smaller side min(m, n-1) is below
+    ``PCG_MIN_KEPT`` nodes, and otherwise runs one batched preconditioned
+    CG over its p + 1 columns (``StructuredJacobian.pcg_solve``), each
+    column to ``PCG_RTOL``, falling back to the factorization if CG
+    reaches ``PCG_MAX_ITER`` iterations.  The step is halved until
+    ``max(|f|_inf, |q|_inf)`` decreases; a trial point that is not finite
+    or lies outside the family's working domain counts as a failed trial.
     With ``p = 0`` this is Newton's method on the degree equations alone.
 
     It stops once ``|f|_inf <= tol_inner`` and ``|q|_inf <= tol_outer``.
     The result carries the predictor at the accepted point and one
     structured Jacobian there, its slopes derived from the mean that the
-    last trial already computed; inference reuses both.
+    last trial already computed; inference reuses both, and factors that
+    Jacobian exactly whatever its size.  The trace records, per step, the
+    halvings and the CG iterations of the degree solve.
     Raises ``NonExistenceError`` for infeasible degrees, a stall under
     full damping or degree parameters escaping ``PARAM_CAP``,
     ``MaxIterationsError`` after ``max_outer`` steps, and
@@ -655,7 +790,7 @@ def _damped_newton(graph, covariates, family, deg, theta, gamma, options, free_g
         raise NonExistenceError(
             f"starting point lies outside the family's working domain: {exc}"
         ) from exc
-    trace = [IterationRecord(0, 0, res.degree_norm, res.covariate_norm)]
+    trace = [IterationRecord(0, 0, res.degree_norm, res.covariate_norm, 0)]
     while res.degree_norm > options.tol_inner or res.covariate_norm > options.tol_outer:
         step_index = len(trace)
         if step_index > max_steps:
@@ -663,7 +798,7 @@ def _damped_newton(graph, covariates, family, deg, theta, gamma, options, free_g
                 f"Newton iteration did not reach tolerance in {max_steps} steps",
                 trace=merit_trace(),
             )
-        dtheta, dgamma = _newton_direction(
+        dtheta, dgamma, linear_iterations = _newton_direction(
             family.mean_d1_given_mean(pi, mu), covariates, res
         )
         del mu  # not needed past the direction; keeps the trials' peak memory down
@@ -687,7 +822,8 @@ def _damped_newton(graph, covariates, family, deg, theta, gamma, options, free_g
         theta, gamma = trial_theta, trial_gamma
         params, pi, mu, res = trial
         trace.append(
-            IterationRecord(step_index, halvings, res.degree_norm, res.covariate_norm)
+            IterationRecord(step_index, halvings, res.degree_norm,
+                            res.covariate_norm, linear_iterations)
         )
         if np.abs(theta).max() > PARAM_CAP:
             raise NonExistenceError(
@@ -701,14 +837,25 @@ def _damped_newton(graph, covariates, family, deg, theta, gamma, options, free_g
 def _newton_direction(slopes, covariates: CovariateTensor, res: MomentResiduals):
     """Newton direction ``(dtheta, dgamma)`` at a point with mean slopes
     ``slopes`` and residuals ``res``, by block elimination of the degree
-    equations (see ``fit``).  Residuals without a covariate part (``p =
-    0``, or ``gamma`` held fixed) give the degree-only direction."""
+    equations (see ``fit``), and the CG iterations of its degree solve
+    (``_degree_solve``).  Residuals without a covariate part (``p = 0``,
+    or ``gamma`` held fixed) give the degree-only direction."""
     jac = StructuredJacobian(slopes)
     if res.covariate.size == 0:
-        return jac.solve(res.degree), np.zeros(covariates.p)
+        x_f, iterations = _degree_solve(jac, res.degree)
+        return x_f, np.zeros(covariates.p), iterations
     c = mixed_moment_derivative(covariates, slopes)
-    x = jac.solve(np.column_stack([res.degree, c.T]))
+    x, iterations = _degree_solve(jac, np.column_stack([res.degree, c.T]))
     x_f, x_c = x[:, 0], x[:, 1:]
     _h, chol = _information(covariates, slopes, c, x_c)
     dgamma = scipy.linalg.cho_solve((chol, True), res.covariate - c @ x_f)
-    return x_f - x_c @ dgamma, dgamma
+    return x_f - x_c @ dgamma, dgamma, iterations
+
+
+def _degree_solve(jac: StructuredJacobian, rhs: np.ndarray) -> tuple:
+    """``(V^{-1} rhs, CG iterations)``: ``pcg_solve`` once the kept side
+    min(m, n-1) reaches ``PCG_MIN_KEPT`` nodes, otherwise the exact Schur
+    solve, which takes no CG iterations."""
+    if min(jac.m, jac.n - 1) >= PCG_MIN_KEPT:
+        return jac.pcg_solve(rhs)
+    return jac.solve(rhs), 0

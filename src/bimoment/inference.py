@@ -9,11 +9,13 @@ corrected coefficients, the node standard errors and the degree-vector
 variances ``u_diag`` and ``u_tail``.  Only these small results (p x p,
 or length m+n-1) are kept, never an m x n intermediate.
 
-The module provides standard errors for the degree parameters, a
-closed-form approximation to the inverse of the structured Jacobian,
-the coefficient covariance (Fisher or sandwich form), the analytic
+The module provides standard errors for the degree parameters, the
+coefficient covariance (Fisher or sandwich form), the analytic
 incidental-parameter bias of the coefficient estimate with its plug-in
-correction, and Wald-type tests.
+correction, and Wald-type tests.  The closed-form approximation to the
+inverse of the structured Jacobian (``approx_inverse``) lives in
+``bimoment.fitter``, which also uses it to precondition the Newton
+solves; it is importable from here as well.
 
 Scaling conventions, fixed once here so they do not leak:  ``N = m*n``
 is the dyad count, ``H`` is the unscaled p x p information matrix of the
@@ -37,6 +39,7 @@ from .fitter import (
     FitResult,
     StructuredJacobian,
     _information,
+    approx_inverse,
     mixed_moment_derivative,
 )
 
@@ -67,45 +70,6 @@ def _once_per_fit(compute):
 def _read_only(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
-
-
-@dataclass(frozen=True)
-class InverseApproximation:
-    """Closed-form approximation to the inverse of the structured Jacobian.
-
-    The approximation is a diagonal part plus a rank-one coupling through
-    the total weight of the dropped event column:  entry (i, j) equals
-    ``delta_ij / v_ii`` plus ``1 / v_tail`` with a positive sign inside
-    the actor block and the event block and a negative sign across them.
-    """
-
-    inv_diag: np.ndarray
-    inv_coupling: float
-    n_actors: int
-
-    @property
-    def _signs(self) -> np.ndarray:
-        s = np.ones(self.inv_diag.shape[0])
-        s[self.n_actors :] = -1.0
-        return s
-
-    def materialize(self) -> np.ndarray:
-        s = self._signs
-        return np.diag(self.inv_diag) + self.inv_coupling * np.outer(s, s)
-
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        """Matrix-vector product without materializing the full matrix."""
-        s = self._signs
-        return self.inv_diag * vec + self.inv_coupling * s * (s @ vec)
-
-
-def approx_inverse(jacobian: StructuredJacobian) -> InverseApproximation:
-    """Build the diagonal-plus-coupling inverse approximation."""
-    return InverseApproximation(
-        inv_diag=1.0 / jacobian.diag,
-        inv_coupling=1.0 / jacobian.v_tail,
-        n_actors=jacobian.m,
-    )
 
 
 def exact_inverse_apply(jacobian: StructuredJacobian, vec: np.ndarray) -> np.ndarray:

@@ -58,6 +58,16 @@ class TestFitCommand:
         for name in ("report.tsv", "trace.tsv", "fit.json", "manifest.json"):
             assert (fit_run / name).exists()
 
+    def test_trace_records_linear_iterations(self, fit_run):
+        header, *rows = (fit_run / "trace.tsv").read_text().splitlines()
+        assert header.split("\t") == ["outer_iteration", "inner_iterations",
+                                      "degree_norm", "covariate_norm",
+                                      "linear_iterations"]
+        assert len(rows) >= 2
+        # the filtered fixture's smaller side is below the CG gate, so
+        # every step factors the Schur complement
+        assert all(row.split("\t")[4] == "0" for row in rows)
+
     def test_report_has_coefficients_with_correction(self, fit_run):
         rows = read_report(fit_run / "report.tsv")
         for name in ("gamma:1", "gamma:2", "gamma_bc:1", "gamma_bc:2"):

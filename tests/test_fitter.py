@@ -1,13 +1,18 @@
 """Fitter tests: residual evaluation against brute-force loops, the
-structured Jacobian and its Schur solve against dense oracles, the inner
-Newton solve against a generic root-finder, and the full fit against a
-generic likelihood maximizer."""
+structured Jacobian and its Schur solve against dense oracles, its
+conjugate-gradient solve against the Schur solve, the inner Newton solve
+against a generic root-finder, and the full fit against a generic
+likelihood maximizer (below the CG gate) and against the factored fit
+(above it)."""
 
 import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bimoment import (
     BipartiteGraph,
@@ -20,6 +25,7 @@ from bimoment import (
     NonExistenceError,
     ParameterSet,
     build_jacobian,
+    coefficient_inference,
     covariate_residuals,
     degree_residuals,
     degrees,
@@ -361,11 +367,158 @@ class TestJointSolver:
         def non_finite_direction(slopes, covariates, res):
             dtheta = np.zeros(graph.m + graph.n - 1)
             dtheta[0] = bad
-            return dtheta, np.zeros(covariates.p)
+            return dtheta, np.zeros(covariates.p), 0
 
         monkeypatch.setattr(fitter, "_newton_direction", non_finite_direction)
         with pytest.raises(NonExistenceError, match="stalled"):
             fit(graph, cov, LOGISTIC)
+
+
+# Shapes for the iterative-solve parity test: one actor, two events, and
+# skewed both ways.
+SKEWED_SHAPES = [(1, 2), (1, 40), (2, 40), (40, 2), (40, 3), (12, 2)]
+SLOPE_MAX = 0.25   # the largest logistic slope
+
+
+@st.composite
+def slopes_and_rhs(draw):
+    """Positive slopes whose range starts anywhere in [1e-8, 0.25] and
+    spans at most three decades, with 1 or 3 right-hand sides or a
+    vector.  Wider spreads within one matrix make ``V`` itself so
+    ill-conditioned (condition ~1e7 at seven decades) that the exact
+    solve and CG both lose digits against a 50-digit reference, and the
+    exact solve stops being a 1e-10 oracle."""
+    shape = draw(st.one_of(st.sampled_from(SKEWED_SHAPES),
+                           st.tuples(st.integers(1, 12), st.integers(2, 12))))
+    low = draw(st.floats(-8.0, math.log10(SLOPE_MAX)))
+    high = min(low + draw(st.floats(0.0, 3.0)), math.log10(SLOPE_MAX))
+    columns = draw(st.sampled_from((None, 1, 3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    slopes = 10.0 ** rng.uniform(low, high, size=shape)
+    dim = shape[0] + shape[1] - 1
+    rhs = rng.normal(size=dim if columns is None else (dim, columns))
+    return slopes, rhs
+
+
+def product_widths(monkeypatch):
+    """Record the number of columns of every product with ``V`` that
+    ``pcg_solve`` makes."""
+    widths = []
+    original = StructuredJacobian._product
+
+    def recorded(jac, x):
+        widths.append(x.shape[1])
+        return original(jac, x)
+
+    monkeypatch.setattr(StructuredJacobian, "_product", recorded)
+    return widths
+
+
+def above_the_gate(family, p):
+    """A seeded (300, 320) instance: its kept side, 300 nodes, is past
+    ``PCG_MIN_KEPT``."""
+    return feasible_instance(np.random.default_rng(300 + p), 300, 320, p, family)
+
+
+class TestIterativeSolve:
+    @settings(max_examples=200, deadline=None)
+    @given(slopes_and_rhs())
+    def test_matches_exact_solve(self, case):
+        slopes, rhs = case
+        jac = StructuredJacobian(slopes)
+        with np.errstate(all="raise"):
+            x, iterations = jac.pcg_solve(rhs)
+        assert iterations < fitter.PCG_MAX_ITER   # CG converged; no fallback
+        exact = jac.solve(rhs)
+        assert x.shape == exact.shape
+        err = np.abs(x - exact).max(axis=0) / np.abs(exact).max(axis=0)
+        assert (err <= 1e-10).all()
+
+    def test_zero_column_returns_exact_zeros(self, rng, monkeypatch):
+        jac = StructuredJacobian(rng.uniform(1e-3, 0.25, size=(9, 7)))
+        rhs = rng.normal(size=(jac.dim, 3))
+        rhs[:, 1] = 0.0
+        widths = product_widths(monkeypatch)
+        with np.errstate(all="raise"):
+            x, _ = jac.pcg_solve(rhs)
+            others, _ = jac.pcg_solve(rhs[:, [0, 2]])
+        assert np.array_equal(x[:, 1], np.zeros(jac.dim))
+        # BLAS may round a product of two columns differently from one of
+        # three, so the other columns agree to roundoff, not bit for bit
+        np.testing.assert_allclose(x[:, [0, 2]], others, rtol=1e-12, atol=0)
+        assert max(widths) == 2   # the zero column never enters a product
+
+    def test_converged_columns_stop_updating(self, rng, monkeypatch):
+        # the first column is V v for an eigenvector v of the preconditioned
+        # matrix, which CG solves in one iteration; the random second
+        # column takes several, and the zero third none
+        jac = StructuredJacobian(rng.uniform(1e-3, 0.25, size=(30, 25)))
+        v = jac.dense()
+        precond = np.linalg.inv(fitter.approx_inverse(jac).materialize())
+        eigvec = scipy.linalg.eigh(v, precond)[1][:, 5]
+        rhs = np.column_stack([v @ eigvec, rng.normal(size=jac.dim),
+                               np.zeros(jac.dim)])
+        widths = product_widths(monkeypatch)
+        with np.errstate(all="raise"):
+            x, iterations = jac.pcg_solve(rhs)
+        assert iterations > 2
+        assert widths == [2] + [1] * (iterations - 1)
+        np.testing.assert_allclose(x[:, 0], eigvec, rtol=0,
+                                   atol=1e-12 * np.abs(eigvec).max())
+        np.testing.assert_allclose(x, jac.solve(rhs), rtol=0,
+                                   atol=1e-10 * np.abs(x).max())
+
+
+class TestIterativeNewton:
+    """``fit`` above the CG gate against ``fit`` with the gate raised so
+    every step factors the Schur complement.  Acceptance 6 (the
+    likelihood oracle) runs only below the gate; these tie the CG path
+    to the factored one."""
+
+    @pytest.mark.parametrize("family, p", [(LOGISTIC, 2), (POISSON, 1)],
+                             ids=["logistic-p2", "poisson-p1"])
+    def test_matches_factored_fit(self, family, p, monkeypatch):
+        graph, cov, _ = above_the_gate(family, p)
+        shipped = fit(graph, cov, family)
+        monkeypatch.setattr(fitter, "PCG_MIN_KEPT", 10**9)
+        factored = fit(graph, cov, family)
+        assert [r.inner_iterations for r in shipped.trace] == \
+            [r.inner_iterations for r in factored.trace]
+        # the preconditioner keeps every step far from the fallback cap
+        # (it takes 2 iterations at the start and 7-8 after)
+        assert all(0 < r.linear_iterations <= 12 for r in shipped.trace[1:])
+        assert all(r.linear_iterations == 0 for r in factored.trace)
+        assert shipped.trace[0].linear_iterations == 0
+        for name in ("alpha", "beta", "gamma"):
+            np.testing.assert_allclose(getattr(shipped.params, name),
+                                       getattr(factored.params, name),
+                                       rtol=0, atol=1e-10)
+        assert shipped.residuals.degree_norm <= shipped.options.tol_inner
+        assert shipped.residuals.covariate_norm <= shipped.options.tol_outer
+        np.testing.assert_allclose(
+            coefficient_inference(shipped).standard_errors,
+            coefficient_inference(factored).standard_errors, rtol=1e-10)
+
+    def test_capped_cg_falls_back_to_the_factorization(self, monkeypatch):
+        graph, cov, _ = above_the_gate(LOGISTIC, 2)
+        solves = []
+        original = StructuredJacobian.solve
+
+        def counted(jac, rhs):
+            solves.append(rhs.shape)
+            return original(jac, rhs)
+
+        monkeypatch.setattr(StructuredJacobian, "solve", counted)
+        monkeypatch.setattr(fitter, "PCG_MAX_ITER", 1)
+        capped = fit(graph, cov, LOGISTIC)
+        steps = len(capped.trace) - 1
+        assert len(solves) == steps   # every step fell back
+        assert all(r.linear_iterations == 1 for r in capped.trace[1:])
+        monkeypatch.setattr(fitter, "PCG_MIN_KEPT", 10**9)
+        factored = fit(graph, cov, LOGISTIC)
+        assert capped.converged
+        assert np.array_equal(capped.params.theta, factored.params.theta)
+        assert np.array_equal(capped.params.gamma, factored.params.gamma)
 
 
 class TestProfileJacobian:

@@ -101,6 +101,25 @@ class TestInverseApproximation:
         np.testing.assert_allclose(approx.apply(vec), approx.materialize() @ vec,
                                    atol=1e-12)
 
+    @pytest.mark.parametrize("columns", [None, 1, 3], ids=["vector", "r1", "r3"])
+    def test_apply_stacked_columns(self, rng, columns):
+        graph, cov, truth = feasible_instance(rng, 6, 5, 2, POISSON)
+        jac = build_jacobian(truth, cov, POISSON)
+        approx = approx_inverse(jac)
+        x = rng.normal(size=jac.dim if columns is None else (jac.dim, columns))
+        out = approx.apply(x)
+        assert out.shape == x.shape
+        np.testing.assert_allclose(out, approx.materialize() @ x, rtol=1e-12,
+                                   atol=1e-12)
+
+    def test_importable_from_package_inference_and_fitter(self):
+        import bimoment
+        from bimoment import fitter
+
+        assert bimoment.approx_inverse is inference.approx_inverse
+        assert inference.approx_inverse is fitter.approx_inverse
+        assert bimoment.InverseApproximation is fitter.InverseApproximation
+
     def test_error_decays_on_random_instances(self):
         errors = []
         for k, n in enumerate((20, 40, 80)):
