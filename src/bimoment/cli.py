@@ -26,7 +26,9 @@ a step that factored the Schur complement instead (node sets where
 min(m, n-1) is below ``fitter.PCG_MIN_KEPT``).
 
 Exit codes: 0 success, 2 config/parse error (including an input file
-that is not valid UTF-8, or an empty delimiter), 3 fitting failure (any
+that is not valid UTF-8, an empty delimiter, a ``--tol`` that is not
+finite and positive, a ``--max-iter`` below 1, or a malformed scenario
+field), 3 fitting failure (any
 ``FitError``: no finite solution, no convergence, or inference asked of
 an unconverged fit), 4 ill-posed inference, 5 internal error.  Every flag
 can be supplied via an environment variable with the ``BIMOMENT_``
@@ -36,6 +38,7 @@ prefix (dashes become underscores, e.g. ``BIMOMENT_MIN_DEGREE=40``).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -151,17 +154,9 @@ def _load_mappings(path) -> list:
     return mappings
 
 
-def _fit_options(args) -> FitOptions:
-    return FitOptions(
-        tol_inner=args.tol,
-        tol_outer=args.tol,
-        max_inner=args.max_iter,
-        max_outer=args.max_iter,
-    )
-
-
 def cmd_fit(args) -> int:
     started = time.perf_counter()
+    options = FitOptions(tol=args.tol, max_iter=args.max_iter)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     inputs = [args.edge_list]
@@ -189,7 +184,7 @@ def cmd_fit(args) -> int:
         covariates = None
 
     family = get_family(args.family)
-    result = fit(graph, covariates, family, _fit_options(args))
+    result = fit(graph, covariates, family, options)
 
     rows = report_rows(result, method=args.method, bias_correct=args.bias_correct)
     write_report(
@@ -227,7 +222,7 @@ def cmd_fit(args) -> int:
         "u_tail": comp.u_tail,
         "gamma_covariance": comp.gamma_covariance.tolist(),
         "method": args.method,
-        "jacobian_summary": result.jacobian_summary,
+        "jacobian_summary": result.jacobian.summary(),
         "version": __version__,
     }
     if result.covariates.p and args.bias_correct:
@@ -252,10 +247,9 @@ def cmd_simulate(args) -> int:
     started = time.perf_counter()
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    raw = _load_json(args.scenario, "scenario file")
+    scenario = Scenario.from_dict(_load_json(args.scenario, "scenario file"))
     if args.seed is not None:
-        raw["seed"] = args.seed
-    scenario = Scenario.from_dict(raw)
+        scenario = dataclasses.replace(scenario, seed=args.seed)
     summary = run_scenario(scenario, workers=args.threads)
     write_summary_table(summary, out_dir / "summary.tsv")
     qq_paths = write_qq_samples(summary, out_dir)

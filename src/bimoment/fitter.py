@@ -45,6 +45,8 @@ function, for instance); divergence is detected and reported as
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -53,6 +55,7 @@ import scipy.linalg
 
 from .data import BipartiteGraph, CovariateTensor, DegreeVector, degrees
 from .errors import (
+    ConfigError,
     DataError,
     DomainError,
     IllPosedError,
@@ -66,6 +69,9 @@ from .families import ModelFamily
 # Divergence guard: beyond this magnitude every shipped family is fully
 # saturated, so a parameter escaping it signals nonexistence.
 PARAM_CAP = 40.0
+
+# Step halvings before a Newton step counts as stalled under full damping.
+MAX_HALVINGS = 30
 
 # Newton directions go to preconditioned CG (``StructuredJacobian.pcg_solve``)
 # once the side the Schur complement keeps, k = min(m, n-1), has this many
@@ -144,25 +150,19 @@ class ParameterSet:
 
 @dataclass(frozen=True)
 class FitOptions:
-    """Solver controls.  Tolerances are sup-norm residual bounds:
-    ``tol_inner`` on the degree residuals, ``tol_outer`` on the covariate
-    residuals.  ``max_outer`` caps the Newton steps of ``fit``,
-    ``max_inner`` those of ``solve_degree_params``."""
+    """Solver controls: ``fit`` and ``solve_degree_params`` stop once every
+    moment residual, degree and covariate alike, is at most ``tol`` in
+    absolute value, and fail after ``max_iter`` Newton steps.  Raises
+    ``ConfigError`` unless ``0 < tol < inf`` and ``max_iter >= 1``."""
 
-    tol_inner: float = 1e-8
-    tol_outer: float = 1e-8
-    max_inner: int = 100
-    max_outer: int = 50
-    max_halvings: int = 30
-    init: str = "zero"  # "zero" | "degree"
+    tol: float = 1e-8
+    max_iter: int = 50
 
     def __post_init__(self):
-        if self.tol_inner <= 0 or self.tol_outer <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.max_inner < 1 or self.max_outer < 1:
-            raise ValueError("iteration caps must be at least 1")
-        if self.init not in ("zero", "degree"):
-            raise ValueError(f"unknown init rule {self.init!r}")
+        if not (isinstance(self.tol, numbers.Real) and 0 < self.tol < math.inf):
+            raise ConfigError(f"tol must be finite and > 0, got {self.tol!r}")
+        if not (isinstance(self.max_iter, numbers.Integral) and self.max_iter >= 1):
+            raise ConfigError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
 
 
 @dataclass(frozen=True)
@@ -477,10 +477,6 @@ class FitResult:
         """Total number of dyads N = m * n."""
         return self.graph.m * self.graph.n
 
-    @property
-    def jacobian_summary(self) -> dict:
-        return self.jacobian.summary()
-
 
 def degree_residuals(
     params: ParameterSet,
@@ -558,24 +554,6 @@ def _check_feasible_degrees(graph, deg: DegreeVector, family: ModelFamily):
             )
 
 
-def _initial_theta(graph, deg: DegreeVector, family: ModelFamily, init: str):
-    """Starting degree parameters: zeros, or a method-of-moments guess."""
-    m, n = graph.m, graph.n
-    if init == "zero":
-        return np.zeros(m + n - 1)
-    if family.support == "binary":
-        eps = 1.0 / (2.0 * max(m, n))
-        pa = np.clip(deg.d / n, eps, 1 - eps)
-        pb = np.clip(deg.b / m, eps, 1 - eps)
-        alpha = np.log(pa / (1 - pa))
-        beta_full = np.log(pb / (1 - pb))
-    else:
-        alpha = np.log((deg.d + 1.0) / n)
-        beta_full = np.log((deg.b + 1.0) / m)
-    beta_free = beta_full[:-1] - beta_full[-1]
-    return np.concatenate([alpha / 2.0, beta_free / 2.0])
-
-
 def solve_degree_params(
     gamma: np.ndarray,
     graph: BipartiteGraph,
@@ -584,20 +562,20 @@ def solve_degree_params(
     options: FitOptions = FitOptions(),
     warm_start: np.ndarray = None,
 ) -> tuple:
-    """Newton solve of the degree equations at fixed ``gamma``.
+    """Newton solve of the degree equations at fixed ``gamma``, from
+    ``warm_start`` or else from zero degree parameters.
 
-    Returns ``(params, trace)`` where ``trace`` is the sup-norm residual
-    per iteration.  Raises ``NonExistenceError`` when the iteration
-    diverges or the iteration cap is hit: by the theory a finite solution
-    exists only with high probability, and divergence is the observable
+    It stops once ``|f|_inf <= options.tol``.  Returns ``(params, trace)``
+    where ``trace`` is the sup-norm residual per iteration.  Raises
+    ``NonExistenceError`` when the iteration diverges or takes more than
+    ``options.max_iter`` steps: by the theory a finite solution exists
+    only with high probability, and divergence is the observable
     signature of the exceptional event.
     """
     deg = degrees(graph)
     _check_feasible_degrees(graph, deg, family)
-    if warm_start is not None:
-        theta = np.array(warm_start, dtype=float)
-    else:
-        theta = _initial_theta(graph, deg, family, options.init)
+    theta = (np.zeros(graph.m + graph.n - 1) if warm_start is None
+             else np.array(warm_start, dtype=float))
     gamma = np.asarray(gamma, dtype=float).reshape(-1)
     params, _pi, _mu, _res, trace = _damped_newton(
         graph, covariates, family, deg, theta, gamma, options, free_gamma=False
@@ -685,9 +663,10 @@ def fit(
 ) -> FitResult:
     """Fit the model by the method of moments.
 
-    One damped Newton iteration on ``(theta, gamma)``.  With degree and
-    covariate residuals ``f`` and ``q``, the structured Jacobian ``V``,
-    mixed derivatives ``C`` and ``A = sum_ij z z^T mu'``, each step solves
+    One damped Newton iteration on ``(theta, gamma)``, started at zero.
+    With degree and covariate residuals ``f`` and ``q``, the structured
+    Jacobian ``V``, mixed derivatives ``C`` and ``A = sum_ij z z^T mu'``,
+    each step solves
 
         [ V  C^T ] [dtheta]   [f]
         [ C   A  ] [dgamma] = [q]
@@ -704,7 +683,7 @@ def fit(
     or lies outside the family's working domain counts as a failed trial.
     With ``p = 0`` this is Newton's method on the degree equations alone.
 
-    It stops once ``|f|_inf <= tol_inner`` and ``|q|_inf <= tol_outer``.
+    It stops once ``max(|f|_inf, |q|_inf) <= options.tol``.
     The result carries the predictor at the accepted point and one
     structured Jacobian there, its slopes derived from the mean that the
     last trial already computed; inference reuses both, and factors that
@@ -712,7 +691,7 @@ def fit(
     halvings and the CG iterations of the degree solve.
     Raises ``NonExistenceError`` for infeasible degrees, a stall under
     full damping or degree parameters escaping ``PARAM_CAP``,
-    ``MaxIterationsError`` after ``max_outer`` steps, and
+    ``MaxIterationsError`` after ``options.max_iter`` steps, and
     ``IllPosedError`` when ``H`` is not positive definite.
     """
     if family is None:
@@ -729,10 +708,9 @@ def fit(
 
     deg = degrees(graph)
     _check_feasible_degrees(graph, deg, family)
-    theta = _initial_theta(graph, deg, family, options.init)
     params, pi, mu, residuals, trace = _damped_newton(
-        graph, covariates, family, deg, theta, np.zeros(covariates.p), options,
-        free_gamma=True,
+        graph, covariates, family, deg, np.zeros(graph.m + graph.n - 1),
+        np.zeros(covariates.p), options, free_gamma=True,
     )
     return FitResult(
         params=params,
@@ -751,21 +729,22 @@ def fit(
 def _damped_newton(graph, covariates, family, deg, theta, gamma, options, free_gamma):
     """Damped Newton on the moment equations from ``(theta, gamma)``.
 
-    With ``free_gamma`` all m+n-1+p equations are solved (``fit``; at most
-    ``max_outer`` steps, then ``MaxIterationsError``); otherwise ``gamma``
-    stays fixed and only the degree equations are solved, so the
-    residuals carry no covariate part (``solve_degree_params``; at most
-    ``max_inner`` steps, then ``NonExistenceError``).  Returns ``(params,
-    predictor, mean, residuals, trace)`` at the last accepted point.  A
-    step's slopes come from the mean its accepted point already computed.
+    With ``free_gamma`` all m+n-1+p equations are solved (``fit``);
+    otherwise ``gamma`` stays fixed and only the degree equations are
+    solved, so the residuals carry no covariate part
+    (``solve_degree_params``).  Either stops once the merit ``max(|f|_inf,
+    |q|_inf)`` is at most ``options.tol``, and takes at most
+    ``options.max_iter`` steps, then raises ``MaxIterationsError``
+    (``fit``) or ``NonExistenceError`` (profile).  Each step halves up to
+    ``MAX_HALVINGS`` times.  Returns ``(params, predictor, mean,
+    residuals, trace)`` at the last accepted point.  A step's slopes come
+    from the mean its accepted point already computed.
     """
     m, n = graph.m, graph.n
     observed_degrees = np.concatenate([deg.d, deg.b[:-1]])
+    cap_error = MaxIterationsError if free_gamma else NonExistenceError
     if free_gamma:
         observed_totals = covariates.total(graph.weights)
-        max_steps, cap_error = options.max_outer, MaxIterationsError
-    else:
-        max_steps, cap_error = options.max_inner, NonExistenceError
 
     def evaluate(theta, gamma):
         params = ParameterSet.from_theta(theta, gamma, m, n)
@@ -782,7 +761,7 @@ def _damped_newton(graph, covariates, family, deg, theta, gamma, options, free_g
         return max(res.degree_norm, res.covariate_norm)
 
     def merit_trace():
-        return [max(rec.degree_norm, rec.covariate_norm) for rec in trace]
+        return [merit(rec) for rec in trace]
 
     try:
         params, pi, mu, res = evaluate(theta, gamma)
@@ -791,18 +770,18 @@ def _damped_newton(graph, covariates, family, deg, theta, gamma, options, free_g
             f"starting point lies outside the family's working domain: {exc}"
         ) from exc
     trace = [IterationRecord(0, 0, res.degree_norm, res.covariate_norm, 0)]
-    while res.degree_norm > options.tol_inner or res.covariate_norm > options.tol_outer:
+    while merit(res) > options.tol:
         step_index = len(trace)
-        if step_index > max_steps:
+        if step_index > options.max_iter:
             raise cap_error(
-                f"Newton iteration did not reach tolerance in {max_steps} steps",
+                f"Newton iteration did not reach tolerance in {options.max_iter} steps",
                 trace=merit_trace(),
             )
         dtheta, dgamma, linear_iterations = _newton_direction(
             family.mean_d1_given_mean(pi, mu), covariates, res
         )
         del mu  # not needed past the direction; keeps the trials' peak memory down
-        for halvings in range(options.max_halvings + 1):
+        for halvings in range(MAX_HALVINGS + 1):
             scale = 0.5**halvings
             trial_theta, trial_gamma = theta - scale * dtheta, gamma - scale * dgamma
             if not (np.isfinite(trial_theta).all() and np.isfinite(trial_gamma).all()):

@@ -18,6 +18,7 @@ normality checks.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -35,12 +36,25 @@ from .inference import _degree_variances, coefficient_inference, node_standard_e
 
 Z_95 = float(norm.ppf(0.975))
 
-COVARIATE_SCHEMES = ("sign-product-2d", "none")
+# covariate scheme -> number of covariates it draws
+COVARIATE_SCHEMES = {"sign-product-2d": 2, "none": 0}
+
+
+def _integer(name: str, value, least: int) -> int:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ConfigError(f"scenario {name} must be an integer >= {least}, got {value!r}")
+    return value
+
+
+def _finite(name: str, value) -> float:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ConfigError(f"scenario {name} must be a finite number, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """One simulation design point."""
+    """One simulation design point; a malformed field raises ``ConfigError``."""
 
     m: int
     n: int
@@ -52,17 +66,20 @@ class Scenario:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "gamma_star", tuple(float(g) for g in self.gamma_star))
-        if self.m < 2 or self.n < 2:
-            raise ConfigError("scenario needs m >= 2 and n >= 2")
-        if self.replications < 1:
-            raise ConfigError("replications must be at least 1")
+        for name, least in (("m", 2), ("n", 2), ("replications", 1), ("seed", 0)):
+            _integer(name, getattr(self, name), least)
+        _finite("L", self.L)
+        gamma_star = tuple(_finite("gamma_star", g) for g in self.gamma_star)
+        object.__setattr__(self, "gamma_star", gamma_star)
+        family = get_family(self.family)  # validate eagerly
         if self.scheme not in COVARIATE_SCHEMES:
             raise ConfigError(
                 f"unknown covariate scheme {self.scheme!r}; "
                 f"known: {', '.join(COVARIATE_SCHEMES)}"
             )
-        family = get_family(self.family)  # validate eagerly
+        if len(gamma_star) != COVARIATE_SCHEMES[self.scheme]:
+            raise ConfigError(f"scheme {self.scheme!r} draws {COVARIATE_SCHEMES[self.scheme]} "
+                              f"covariates, but gamma_star has {len(gamma_star)} values")
         # the sign-product covariates are +-1, so the truth's predictor
         # reaches 2 max(L, 0) + sum |gamma*|
         largest = 2.0 * max(self.L, 0.0) + sum(abs(g) for g in self.gamma_star)
@@ -77,11 +94,14 @@ class Scenario:
         """Build from a parsed config mapping.  The density level may be
         given directly (``L``) or as a multiple of ``log m``
         (``L_factor``)."""
+        if not isinstance(raw, Mapping):
+            raise ConfigError(f"a scenario must be a JSON object, got {type(raw).__name__}")
         d = dict(raw)
         if "L_factor" in d:
             if "L" in d:
                 raise ConfigError("give either L or L_factor, not both")
-            d["L"] = float(d.pop("L_factor")) * math.log(float(d["m"]))
+            d["L"] = _finite("L_factor", d.pop("L_factor")) * math.log(
+                _integer("m", d.get("m"), 2))
         unknown = set(d) - {
             "m", "n", "L", "gamma_star", "family", "scheme", "replications", "seed",
         }

@@ -382,6 +382,41 @@ class TestSimulateCommand:
         rc = main(["simulate", str(path), "--out-dir", str(tmp_path / "out")])
         assert rc == EXIT_CONFIG
 
+    @pytest.mark.parametrize("overrides, argv", [
+        ({"seed": -3}, []),
+        ({}, ["--seed", "-1"]),
+        ({"seed": 1.5}, []),
+        ({"m": 10.5}, []),
+        ({"replications": 2.5}, []),
+        ({"L": float("nan")}, []),
+        ({"gamma_star": [float("nan"), 1.0]}, []),
+        ({"L": None, "L_factor": "a"}, []),
+        ({"gamma_star": [0.5]}, []),
+        ({"gamma_star": [0.5, 1.0], "scheme": "none"}, []),
+        (None, []),
+    ], ids=["negative-seed", "negative-seed-flag", "fractional-seed",
+            "fractional-m", "fractional-replications", "nan-L", "nan-gamma",
+            "string-L_factor", "gamma-short-for-scheme", "gamma-long-for-scheme",
+            "json-list"])
+    def test_malformed_scenario_is_config_error(self, tmp_path, capsys,
+                                                overrides, argv):
+        raw = {"m": 10, "n": 10, "L": 0.0, "gamma_star": [0.5, 1.0],
+               "replications": 1, "seed": 7}
+        if overrides is None:
+            raw = [raw]
+        else:
+            raw.update(overrides)   # an override of None drops the key
+            raw = {k: v for k, v in raw.items() if v is not None}
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        rc = main(["simulate", str(path), *argv, "--out-dir", str(out)])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+        assert not (out / "summary.tsv").exists()
+
     def test_single_replication_smoke_is_fast(self, tmp_path):
         path = self.scenario_file(tmp_path, m=50, n=50, replications=1)
         started = time.perf_counter()
@@ -389,6 +424,35 @@ class TestSimulateCommand:
         elapsed = time.perf_counter() - started
         assert rc == EXIT_OK
         assert elapsed < 5.0
+
+
+class TestSolverOptions:
+    """A ``--tol`` that is not finite and positive, or a ``--max-iter``
+    below 1, is a configuration error (exit 2) whether it comes as a flag
+    or from the environment, and nothing is fitted or written."""
+
+    @pytest.mark.parametrize("flag, value", [
+        ("tol", "0"), ("tol", "-1"), ("tol", "nan"), ("tol", "inf"),
+        ("max-iter", "0"),
+    ])
+    @pytest.mark.parametrize("source", ["flag", "environment"])
+    def test_bad_solver_option_is_config_error(self, tmp_path, monkeypatch, capsys,
+                                               flag, value, source):
+        edges = tmp_path / "edges.tsv"
+        edges.write_text("u1\tm1\nu1\tm2\nu2\tm2\nu2\tm3\nu3\tm1\nu3\tm3\n")
+        out = tmp_path / "out"
+        argv = ["fit", str(edges), "--out-dir", str(out)]
+        if source == "flag":
+            argv.append(f"--{flag}={value}")
+        else:
+            monkeypatch.setenv("BIMOMENT_" + flag.replace("-", "_").upper(), value)
+        rc = main(argv)
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert flag.replace("-", "_") in err
+        assert "Traceback" not in err
+        assert not (out / "report.tsv").exists()
 
 
 class TestEnvironmentOverrides:

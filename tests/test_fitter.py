@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from bimoment import (
     BipartiteGraph,
+    ConfigError,
     CovariateTensor,
     DataError,
     DomainError,
@@ -225,7 +226,7 @@ class TestInnerSolve:
         generic = scipy.optimize.root(fun, np.zeros(4), method="hybr", tol=1e-12)
         assert generic.success
         params, _ = solve_degree_params(
-            gamma, graph, cov, LOGISTIC, FitOptions(tol_inner=1e-12)
+            gamma, graph, cov, LOGISTIC, FitOptions(tol=1e-12)
         )
         assert np.abs(params.theta - generic.x).max() < 1e-8
 
@@ -279,7 +280,7 @@ class TestProfiledResiduals:
     def test_composition_oracle(self, rng):
         graph, cov, truth = feasible_instance(rng, 5, 4, 2, LOGISTIC)
         gamma = np.array([0.2, -0.1])
-        opts = FitOptions(tol_inner=1e-12)
+        opts = FitOptions(tol=1e-12)
         q = profiled_residuals(gamma, graph, cov, LOGISTIC, opts)
         params, _ = solve_degree_params(gamma, graph, cov, LOGISTIC, opts)
         _, q_ref = brute_force_residuals(params, graph, cov, LOGISTIC)
@@ -289,7 +290,7 @@ class TestProfiledResiduals:
         graph, cov, truth = feasible_instance(rng, 12, 10, 2, LOGISTIC)
         result = fit(graph, cov, LOGISTIC)
         q = profiled_residuals(result.params.gamma, graph, cov, LOGISTIC)
-        assert np.abs(q).max() <= result.options.tol_outer * 10
+        assert np.abs(q).max() <= result.options.tol * 10
 
 
 class TestJointSolver:
@@ -298,9 +299,9 @@ class TestJointSolver:
         result = fit(graph, cov, LOGISTIC)
         gamma = result.params.gamma
         q = profiled_residuals(gamma, graph, cov, LOGISTIC)
-        assert np.abs(q).max() <= result.options.tol_outer
+        assert np.abs(q).max() <= result.options.tol
         params, _ = solve_degree_params(gamma, graph, cov, LOGISTIC,
-                                        FitOptions(tol_inner=1e-12))
+                                        FitOptions(tol=1e-12))
         assert np.abs(params.theta - result.params.theta).max() < 1e-9
 
     def test_few_joint_steps_on_dense_logistic(self):
@@ -493,8 +494,8 @@ class TestIterativeNewton:
             np.testing.assert_allclose(getattr(shipped.params, name),
                                        getattr(factored.params, name),
                                        rtol=0, atol=1e-10)
-        assert shipped.residuals.degree_norm <= shipped.options.tol_inner
-        assert shipped.residuals.covariate_norm <= shipped.options.tol_outer
+        assert shipped.residuals.degree_norm <= shipped.options.tol
+        assert shipped.residuals.covariate_norm <= shipped.options.tol
         np.testing.assert_allclose(
             coefficient_inference(shipped).standard_errors,
             coefficient_inference(factored).standard_errors, rtol=1e-10)
@@ -533,7 +534,7 @@ class TestProfileJacobian:
         graph, cov, truth = feasible_instance(rng, 6, 5, 2, LOGISTIC)
         result = fit(graph, cov, LOGISTIC)
         h = profile_jacobian(result.params, cov, LOGISTIC)
-        opts = FitOptions(tol_inner=1e-13)
+        opts = FitOptions(tol=1e-13)
         step = 1e-5
         fd = np.zeros_like(h)
         for k in range(2):
@@ -609,21 +610,49 @@ def poisson_mle_oracle(graph, cov, family):
     return res.x
 
 
+class TestFitOptions:
+    def test_defaults(self):
+        assert FitOptions() == FitOptions(tol=1e-8, max_iter=50)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"tol": 0.0}, {"tol": -1.0}, {"tol": float("nan")}, {"tol": float("inf")},
+        {"tol": "1e-8"}, {"max_iter": 0}, {"max_iter": 2.5},
+    ])
+    def test_bad_values_are_config_errors(self, kwargs):
+        with pytest.raises(ConfigError, match=next(iter(kwargs))):
+            FitOptions(**kwargs)
+
+
+def offset_start(monkeypatch, seed, scale=0.5):
+    """Make ``fit`` start its Newton iteration from a seeded normal offset
+    of the zero start, in theta and in gamma."""
+    offsets = np.random.default_rng(seed)
+    damped_newton = fitter._damped_newton
+
+    def shifted(graph, covariates, family, deg, theta, gamma, *args, **kwargs):
+        theta = theta + scale * offsets.standard_normal(theta.shape)
+        gamma = gamma + scale * offsets.standard_normal(gamma.shape)
+        return damped_newton(graph, covariates, family, deg, theta, gamma,
+                             *args, **kwargs)
+
+    monkeypatch.setattr(fitter, "_damped_newton", shifted)
+
+
 class TestFit:
     def test_pure_degree_model_matches_observed_degrees(self, rng):
         graph, cov, _ = feasible_instance(rng, 10, 8, 0, LOGISTIC)
         result = fit(graph, cov, LOGISTIC)
         mu = LOGISTIC.mean(result.predictor)
         deg = degrees(graph)
-        assert np.abs(mu.sum(axis=1) - deg.d).max() <= result.options.tol_inner
-        assert np.abs(mu.sum(axis=0) - deg.b).max() <= (10 + 8) * result.options.tol_inner
+        assert np.abs(mu.sum(axis=1) - deg.d).max() <= result.options.tol
+        assert np.abs(mu.sum(axis=0) - deg.b).max() <= (10 + 8) * result.options.tol
 
     def test_dropped_degree_equation_holds_automatically(self, rng):
         graph, cov, _ = feasible_instance(rng, 9, 7, 2, POISSON)
         result = fit(graph, cov, POISSON)
         mu = POISSON.mean(result.predictor)
         b_last = degrees(graph).b[-1]
-        tol = result.options.tol_inner
+        tol = result.options.tol
         assert abs(mu[:, -1].sum() - b_last) <= (9 + 7) * tol
 
     def test_covariate_moment_identity_at_solution(self, rng):
@@ -632,7 +661,7 @@ class TestFit:
         mu = LOGISTIC.mean(result.predictor)
         lhs = np.einsum("ijk,ij->k", cov.values, mu)
         rhs = np.einsum("ijk,ij->k", cov.values, graph.weights)
-        assert np.abs(lhs - rhs).max() <= result.options.tol_outer
+        assert np.abs(lhs - rhs).max() <= result.options.tol
 
     def test_poisson_small_instance_matches_mle(self, rng):
         graph, cov, _ = feasible_instance(rng, 4, 3, 1, POISSON)
@@ -641,16 +670,17 @@ class TestFit:
         fitted = np.concatenate([result.params.theta, result.params.gamma])
         assert np.abs(fitted - mle).max() < 1e-6
 
-    def test_warm_and_cold_start_agree(self, rng):
+    def test_warm_and_cold_start_agree(self, rng, monkeypatch):
         graph, cov, _ = feasible_instance(rng, 10, 8, 2, LOGISTIC)
         tol = 1e-10
-        cold = fit(graph, cov, LOGISTIC, FitOptions(tol_inner=tol, tol_outer=tol))
-        warm = fit(graph, cov, LOGISTIC,
-                   FitOptions(tol_inner=tol, tol_outer=tol, init="degree"))
+        cold = fit(graph, cov, LOGISTIC, FitOptions(tol=tol))
+        offset_start(monkeypatch, seed=5)
+        warm = fit(graph, cov, LOGISTIC, FitOptions(tol=tol))
+        assert warm.trace[0].degree_norm != cold.trace[0].degree_norm
         assert np.abs(cold.params.theta - warm.params.theta).max() < 10 * tol
         assert np.abs(cold.params.gamma - warm.params.gamma).max() < 10 * tol
 
-    def test_reparameterization_invariance(self, rng):
+    def test_reparameterization_invariance(self, rng, monkeypatch):
         # shifting truth by (+c, -c) leaves the edge distribution unchanged,
         # so the same seed gives the same graph and the same fitted means
         m, n = 8, 6
@@ -677,8 +707,10 @@ class TestFit:
         # the alpha+beta sums agree away from the pinned column
         np.testing.assert_allclose(mu_base[:, :-1], mu_shift[:, :-1], atol=1e-12)
         result = fit(g1, cov, LOGISTIC)
-        # fitted means are a function of the data alone
-        refit = fit(g1, cov, LOGISTIC, FitOptions(init="degree"))
+        # fitted means are a function of the data alone, not of the start
+        offset_start(monkeypatch, seed=7)
+        refit = fit(g1, cov, LOGISTIC)
+        assert refit.trace[0].degree_norm != result.trace[0].degree_norm
         np.testing.assert_allclose(
             LOGISTIC.mean(result.predictor), LOGISTIC.mean(refit.predictor),
             atol=1e-7,
@@ -693,9 +725,10 @@ class TestFit:
         graph, cov, _ = feasible_instance(rng, 6, 5, 2, LOGISTIC)
         result = fit(graph, cov, LOGISTIC)
         assert result.converged
-        assert result.trace[-1].covariate_norm <= result.options.tol_outer
-        assert result.jacobian_summary["slope_min"] > 0
-        assert result.jacobian_summary["v_tail"] > 0
+        assert result.trace[-1].covariate_norm <= result.options.tol
+        summary = result.jacobian.summary()
+        assert summary["slope_min"] > 0
+        assert summary["v_tail"] > 0
 
     def test_jacobian_in_class_at_solution(self, rng):
         graph, cov, _ = feasible_instance(rng, 6, 5, 1, LOGISTIC)

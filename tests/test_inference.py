@@ -336,7 +336,7 @@ class TestInferenceState:
         pi = result.params.linear_predictor(cov)
         assert np.array_equal(result.predictor, pi)
         assert np.array_equal(result.jacobian.slopes, POISSON.mean_d1(pi))
-        assert result.jacobian_summary == build_jacobian(
+        assert result.jacobian.summary() == build_jacobian(
             result.params, cov, POISSON).summary()
 
     def test_state_keeps_only_small_read_only_results(self, rng):

@@ -1,7 +1,8 @@
 """Totality of the error taxonomy on random small instances: ``fit``
 either returns or raises one of the documented error classes, and the
-``fit`` command on the same instance saved to disk returns a documented
-exit code without a traceback."""
+``fit`` command on the same instance saved to disk, under valid and
+invalid ``--tol``/``--max-iter`` values, returns a documented exit code
+without a traceback."""
 
 import contextlib
 import io
@@ -53,9 +54,18 @@ def write_table(path, key, columns, rows):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+# Half the examples run the command with its default solver options; the
+# other half pass a ``--tol`` and a ``--max-iter`` drawn from these, where
+# any pair with a bad value must be refused as a configuration error.
+SOLVER_OPTIONS = st.one_of(st.none(), st.tuples(
+    st.sampled_from((1e-8, 0.0, -1.0, float("nan"), float("inf"))),
+    st.sampled_from((1, 100, 0))))
+
+
 @settings(max_examples=150, deadline=None)
-@given(instances())
-def test_fit_and_cli_fail_only_with_documented_errors(tmp_path_factory, instance):
+@given(instances(), SOLVER_OPTIONS)
+def test_fit_and_cli_fail_only_with_documented_errors(tmp_path_factory, instance,
+                                                      solver_options):
     family, graph, p, actor_rows, event_rows = instance
     actor_cols = tuple(f"c{k + 1}" for k in range(p))
     event_cols = tuple(f"g{k + 1}" for k in range(p))
@@ -76,6 +86,9 @@ def test_fit_and_cli_fail_only_with_documented_errors(tmp_path_factory, instance
     save_edge_list(graph, work / "edges.tsv")
     argv = ["fit", str(work / "edges.tsv"), "--family", family,
             "--out-dir", str(work / "out")]
+    if solver_options is not None:
+        tol, max_iter = solver_options
+        argv += [f"--tol={tol}", f"--max-iter={max_iter}"]
     if family == "poisson":
         argv.append("--count-mode")
     if p:
@@ -92,3 +105,6 @@ def test_fit_and_cli_fail_only_with_documented_errors(tmp_path_factory, instance
         code = cli.main(argv)
     assert code in EXIT_CODES
     assert "Traceback" not in stderr.getvalue()
+    if solver_options is not None and not (np.isfinite(tol) and tol > 0
+                                           and max_iter >= 1):
+        assert code == cli.EXIT_CONFIG
