@@ -15,7 +15,9 @@ and ``test``, which draw no random numbers), the tool version, and the
 wall-clock time.  Outputs are plain delimited text with stable
 formatting: re-running a command reproduces them byte for byte.
 
-``fit`` writes ``trace.tsv`` with one row per step of the joint Newton
+``fit`` solves to ``--tol`` within ``--max-iter`` Newton steps, whose
+defaults are those of ``FitOptions`` (1e-8 and 50).  It writes
+``trace.tsv`` with one row per step of the joint Newton
 solver (one ``IterationRecord`` each): ``outer_iteration`` is the step
 index, 0 for the starting point; ``inner_iterations`` is the number of
 step halvings the step needed; ``degree_norm`` and ``covariate_norm``
@@ -27,8 +29,9 @@ min(m, n-1) is below ``fitter.PCG_MIN_KEPT``).
 
 Exit codes: 0 success, 2 config/parse error (including an input file
 that is not valid UTF-8, an empty delimiter, a ``--tol`` that is not
-finite and positive, a ``--max-iter`` below 1, or a malformed scenario
-field), 3 fitting failure (any
+finite and positive, a ``--max-iter`` below 1, a ``--threads`` below 1,
+a malformed scenario field, a fit report missing a Wald component, or a
+null value that is not finite), 3 fitting failure (any
 ``FitError``: no finite solution, no convergence, or inference asked of
 an unconverged fit), 4 ill-posed inference, 5 internal error.  Every flag
 can be supplied via an environment variable with the ``BIMOMENT_``
@@ -202,11 +205,9 @@ def cmd_fit(args) -> int:
                 f"{rec.linear_iterations}\n"
             )
 
-    comp = components_from_fit(result, method=args.method)
     sidecar = {
+        **components_from_fit(result, method=args.method).to_json(),
         "family": family.name,
-        "m": result.m,
-        "n": result.n,
         "p": result.covariates.p,
         "converged": result.converged,
         "actor_labels": list(graph.actor_labels),
@@ -214,13 +215,6 @@ def cmd_fit(args) -> int:
         "covariate_names": list(result.covariates.names),
         "alpha": result.params.alpha.tolist(),
         "beta": result.params.beta.tolist(),
-        "gamma": result.params.gamma.tolist(),
-        "theta": comp.theta.tolist(),
-        "v_diag": comp.v_diag.tolist(),
-        "v_tail": comp.v_tail,
-        "u_diag": comp.u_diag.tolist(),
-        "u_tail": comp.u_tail,
-        "gamma_covariance": comp.gamma_covariance.tolist(),
         "method": args.method,
         "jacobian_summary": result.jacobian.summary(),
         "version": __version__,
@@ -264,22 +258,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_test(args) -> int:
     started = time.perf_counter()
-    sidecar = _load_json(args.fit_report, "fit report")
-    try:
-        comp = InferenceComponents(
-            m=sidecar["m"],
-            n=sidecar["n"],
-            theta=sidecar["theta"],
-            gamma=sidecar["gamma"],
-            v_diag=sidecar["v_diag"],
-            v_tail=sidecar["v_tail"],
-            u_diag=sidecar["u_diag"],
-            u_tail=sidecar["u_tail"],
-            gamma_covariance=sidecar["gamma_covariance"],
-        )
-    except KeyError as exc:
-        raise ConfigError(f"fit report is missing field {exc}") from None
-
+    comp = InferenceComponents.from_json(_load_json(args.fit_report, "fit report"))
     lines = ["contrast\testimate\tse\tstatistic\tp_value"]
     for spec in args.contrast:
         result = wald_from_components(comp, spec, args.null)
@@ -335,8 +314,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="drop nodes whose degree is not above this")
     p_fit.add_argument("--filter-mode", choices=("once", "iterate"),
                        default=_env_default("filter-mode", "once"))
-    p_fit.add_argument("--tol", type=float, default=_env_default("tol", 1e-8))
-    p_fit.add_argument("--max-iter", type=int, default=_env_default("max-iter", 100))
+    p_fit.add_argument("--tol", type=float, default=_env_default("tol", FitOptions.tol))
+    p_fit.add_argument("--max-iter", type=int,
+                       default=_env_default("max-iter", FitOptions.max_iter))
     p_fit.add_argument("--method", choices=("fisher", "sandwich"),
                        default=_env_default("method", "fisher"))
     p_fit.add_argument("--bias-correct", action=argparse.BooleanOptionalAction,
@@ -350,7 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--seed", type=int, default=None,
                        help="override the scenario's master seed")
     p_sim.add_argument("--threads", type=int,
-                       default=_env_default("threads", 1))
+                       default=_env_default("threads", 1),
+                       help="worker processes, at least 1")
     p_sim.add_argument("--out-dir", default=_env_default("out-dir", "."))
     p_sim.set_defaults(func=cmd_simulate)
 

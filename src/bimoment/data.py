@@ -91,9 +91,6 @@ class BipartiteGraph:
     def total_weight(self) -> float:
         return float(self.weights.sum())
 
-    def degrees(self) -> DegreeVector:
-        return degrees(self)
-
 
 @dataclass(frozen=True)
 class CovariateTensor:

@@ -214,27 +214,21 @@ class StructuredJacobian:
         self._keeps_actors = self.m <= self.n - 1
 
     @cached_property
-    def diag_alpha(self) -> np.ndarray:
-        return self.slopes.sum(axis=1)
+    def diag(self) -> np.ndarray:
+        """All m+n-1 diagonal entries, ``degree_sums(slopes)``."""
+        return degree_sums(self.slopes)
 
-    @cached_property
+    @property
+    def diag_alpha(self) -> np.ndarray:
+        return self.diag[: self.m]
+
+    @property
     def diag_beta(self) -> np.ndarray:
-        return self.slopes[:, :-1].sum(axis=0)
+        return self.diag[self.m :]
 
     @property
     def cross(self) -> np.ndarray:
         return self.slopes[:, :-1]
-
-    @cached_property
-    def diag(self) -> np.ndarray:
-        """All m+n-1 diagonal entries."""
-        return np.concatenate([self.diag_alpha, self.diag_beta])
-
-    @cached_property
-    def tail_weights(self) -> np.ndarray:
-        """Per-row diagonal surplus (the implicit coupling to the dropped
-        event): ``mu'(pi_in)`` for actor rows, zero for event rows."""
-        return np.concatenate([self.slopes[:, -1], np.zeros(self.n - 1)])
 
     @cached_property
     def v_tail(self) -> float:
@@ -478,6 +472,13 @@ class FitResult:
         return self.graph.m * self.graph.n
 
 
+def degree_sums(x: np.ndarray) -> np.ndarray:
+    """Row sums of the m x n matrix ``x`` followed by its column sums over
+    events 1..n-1: the layout of ``theta``, of the degree equations and
+    of the diagonal of ``V``."""
+    return np.concatenate([x.sum(axis=1), x[:, :-1].sum(axis=0)])
+
+
 def degree_residuals(
     params: ParameterSet,
     graph: BipartiteGraph,
@@ -487,9 +488,7 @@ def degree_residuals(
     """Expected-minus-observed degrees for all actors and events 1..n-1."""
     mu = family.mean(params.linear_predictor(covariates))
     deg = degrees(graph)
-    return np.concatenate(
-        [mu.sum(axis=1) - deg.d, mu[:, :-1].sum(axis=0) - deg.b[:-1]]
-    )
+    return degree_sums(mu) - np.concatenate([deg.d, deg.b[:-1]])
 
 
 def covariate_residuals(
@@ -613,16 +612,24 @@ def profile_jacobian(
 
     where ``C`` collects the mixed derivatives of the covariate residuals
     in the degree parameters.  Raises ``IllPosedError`` if the result is
-    not symmetric positive definite.  Inference reads the same matrix
-    from the fit's own Jacobian instead (``bimoment.inference``); this
-    stand-alone form is the reference it is checked against.
+    not symmetric positive definite.  Inference applies ``information_at``
+    to the fit's own Jacobian instead (``bimoment.inference``); this
+    stand-alone form, which rebuilds the Jacobian, is the reference it is
+    checked against.
     """
     if covariates.p == 0:
         return np.zeros((0, 0))
     slopes = family.mean_d1(params.linear_predictor(covariates))
-    jac = StructuredJacobian(slopes)
-    c = mixed_moment_derivative(covariates, slopes)
-    h, _chol = _information(covariates, slopes, c, jac.solve(c.T))
+    return information_at(StructuredJacobian(slopes), covariates)
+
+
+def information_at(jac: StructuredJacobian, covariates: CovariateTensor) -> np.ndarray:
+    """``H`` (see ``profile_jacobian``) at the point whose structured
+    Jacobian is ``jac``."""
+    if covariates.p == 0:
+        return np.zeros((0, 0))
+    c = mixed_moment_derivative(covariates, jac.slopes)
+    h, _chol = _information(covariates, jac.slopes, c, jac.solve(c.T))
     return h
 
 
@@ -750,7 +757,7 @@ def _damped_newton(graph, covariates, family, deg, theta, gamma, options, free_g
         params = ParameterSet.from_theta(theta, gamma, m, n)
         pi = params.linear_predictor(covariates)
         mu = family.mean(pi)
-        f = np.concatenate([mu.sum(axis=1), mu[:, :-1].sum(axis=0)]) - observed_degrees
+        f = degree_sums(mu) - observed_degrees
         if free_gamma:
             q = covariates.total(mu) - observed_totals
         else:

@@ -25,6 +25,7 @@ are ``gamma + solve(h_bar, b_star) / sqrt(N)``.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 import re
@@ -38,8 +39,9 @@ from .errors import ConfigError, FitError
 from .fitter import (
     FitResult,
     StructuredJacobian,
-    _information,
     approx_inverse,
+    degree_sums,
+    information_at,
     mixed_moment_derivative,
 )
 
@@ -85,8 +87,21 @@ def _degree_variances(fit: FitResult):
     event.  Coincides with the Jacobian diagonal for exponential
     families."""
     var = fit.family.variance(fit.predictor)
-    u_diag = np.concatenate([var.sum(axis=1), var[:, :-1].sum(axis=0)])
-    return _read_only(u_diag), float(var[:, -1].sum())
+    return _read_only(degree_sums(var)), float(var[:, -1].sum())
+
+
+def _degree_se(u_diag, v_diag, u_tail, v_tail, slot, other=None):
+    """Standard error of ``theta[slot]`` (``slot`` an index, an index
+    array or a slice): ``sqrt(u_ii / v_ii^2 + u_tail / v_tail^2)``, for
+    exponential families (``u = v``) ``sqrt(1 / v_ii + 1 / v_tail)``.
+    With ``other``, of the within-side difference ``theta[slot] -
+    theta[other]``: the shared coupling term drops out, and the other
+    parameter's ``u_kk / v_kk^2`` takes its place."""
+
+    def own(k):
+        return u_diag[k] / np.square(v_diag[k])
+
+    return np.sqrt(own(slot) + (u_tail / v_tail**2 if other is None else own(other)))
 
 
 @dataclass(frozen=True)
@@ -99,15 +114,11 @@ class NodeStandardErrors:
 
 @_once_per_fit
 def node_standard_errors(fit: FitResult) -> NodeStandardErrors:
-    """Standard errors of the fitted degree parameters.
-
-    The general form is ``sqrt(u_ii / v_ii^2 + u_tail / v_tail^2)``; for
-    exponential families ``u = v`` and it collapses to
-    ``sqrt(1 / v_ii + 1 / v_tail)``.
-    """
+    """Standard errors of the fitted degree parameters, as
+    ``InferenceComponents.degree_se`` computes each."""
     jac = fit.jacobian
     u_diag, u_tail = _degree_variances(fit)
-    se = _read_only(np.sqrt(u_diag / jac.diag**2 + u_tail / jac.v_tail**2))
+    se = _read_only(_degree_se(u_diag, jac.diag, u_tail, jac.v_tail, slice(None)))
     return NodeStandardErrors(alpha=se[: fit.m], beta=se[fit.m :])
 
 
@@ -155,14 +166,8 @@ def coefficient_covariance(fit: FitResult, method: str = "fisher") -> np.ndarray
 
 @_once_per_fit
 def _information_at_estimate(fit: FitResult) -> np.ndarray:
-    """The profiled information ``H`` (p x p), formed as
-    ``profile_jacobian`` forms it but on the fit's own Jacobian."""
-    if fit.covariates.p == 0:
-        return _read_only(np.zeros((0, 0)))
-    jac = fit.jacobian
-    c = mixed_moment_derivative(fit.covariates, jac.slopes)
-    h, _chol = _information(fit.covariates, jac.slopes, c, jac.solve(c.T))
-    return _read_only(h)
+    """The profiled information ``H`` (p x p) at the fit's own Jacobian."""
+    return _read_only(information_at(fit.jacobian, fit.covariates))
 
 
 @_once_per_fit
@@ -181,29 +186,30 @@ def _covariance(fit: FitResult, method: str) -> np.ndarray:
     return _read_only(0.5 * (cov + cov.T))
 
 
-def _pair_inverse_quadratics(fit: FitResult, use_approx: bool) -> np.ndarray:
-    """The m x n matrix of quadratic forms ``t_ij^T W t_ij`` where
-    ``t_ij`` selects the degree coordinates edge (i, j) feeds and ``W``
-    is the exact inverse of the structured Jacobian (or its closed-form
-    approximation, under which the coupling terms cancel and the form
-    reduces to ``1/v_ii + 1/v_jj``)."""
-    jac = fit.jacobian
-    m, n = fit.m, fit.n
+def _pair_quadratics(w_alpha_diag, w_cross, w_beta_diag) -> np.ndarray:
+    """The m x n matrix of quadratic forms ``t_ij^T W t_ij`` (``t_ij``
+    selects the degree coordinates edge (i, j) feeds), ``w_alpha_ii + 2
+    w_cross_ij + w_beta_jj`` and ``w_alpha_ii`` for the dropped event,
+    from the diagonals of W's actor and event blocks and its actor-event
+    block (or anything that broadcasts to m x (n-1)), summed in place to
+    spare the peak memory two m x n temporaries."""
+    m, n = w_alpha_diag.shape[0], w_beta_diag.shape[0] + 1
     q = np.empty((m, n))
-    if use_approx:
-        inv_alpha = 1.0 / jac.diag_alpha
-        inv_beta = np.concatenate([1.0 / jac.diag_beta, [1.0 / jac.v_tail]])
-        q[:] = inv_alpha[:, None] + inv_beta[None, :]
-    else:
-        inv_alpha_diag, inv_cross, inv_beta_diag = jac.inverse_blocks()
-        # inv_alpha + 2 inv_cross + inv_beta, summed in place to spare the
-        # peak memory two m x n temporaries (the same roundings)
-        free = q[:, : n - 1]
-        np.multiply(inv_cross, 2.0, out=free)
-        free += inv_alpha_diag[:, None]
-        free += inv_beta_diag[None, :]
-        q[:, n - 1] = inv_alpha_diag
+    free = q[:, : n - 1]
+    np.multiply(w_cross, 2.0, out=free)
+    free += w_alpha_diag[:, None]
+    free += w_beta_diag[None, :]
+    q[:, n - 1] = w_alpha_diag
     return q
+
+
+def _bias_sum(fit: FitResult, mu2: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The bias term ``sum_ij z_ij mu''_ij q_ij / (2 sqrt(N))`` from the
+    curvatures ``mu2`` and the pair quadratic forms ``q``, which it
+    overwrites.  Callers evaluate ``mu2`` before ``q``: the temporaries of
+    ``mean_d2`` then never share the peak with ``W``'s blocks."""
+    q *= mu2
+    return fit.covariates.total(q) / (2.0 * math.sqrt(fit.n_edges))
 
 
 def incidental_bias_expfam(fit: FitResult, use_approx: bool = False) -> np.ndarray:
@@ -222,45 +228,35 @@ def incidental_bias_expfam(fit: FitResult, use_approx: bool = False) -> np.ndarr
     if fit.covariates.p == 0:
         return np.zeros(0)
     mu2 = fit.family.mean_d2(fit.predictor)
-    q = _pair_inverse_quadratics(fit, use_approx)
-    total = fit.covariates.total(mu2 * q)
-    return total / (2.0 * math.sqrt(fit.n_edges))
+    if use_approx:
+        s = approx_inverse(fit.jacobian)
+        c = s.inv_coupling
+        q = _pair_quadratics(s.inv_diag[: fit.m] + c, -c, s.inv_diag[fit.m :] + c)
+    else:
+        q = _pair_quadratics(*fit.jacobian.inverse_blocks())
+    return _bias_sum(fit, mu2, q)
 
 
-def incidental_bias_general(fit: FitResult, use_approx: bool = False) -> np.ndarray:
+def incidental_bias_general(fit: FitResult) -> np.ndarray:
     """Analytic bias term for a general family.
 
-    Contracts the curvature of the covariate residuals against
-    ``V^{-1} U V^{-1}`` (``U`` = degree-vector covariance from the
-    variance function), which reduces to the exponential-family form when
-    ``U = V``.  Dense at desk scale; ``use_approx`` substitutes the
-    closed-form inverse approximation on both sides.
+    Contracts the curvature of the covariate residuals against ``W = V^{-1}
+    U V^{-1}`` (``U`` = degree-vector covariance from the variance
+    function), which reduces to the exponential-family form when ``U =
+    V``.  Dense at desk scale.
     """
     _require_converged(fit)
     if fit.covariates.p == 0:
         return np.zeros(0)
     jac = fit.jacobian
-    m, n = fit.m, fit.n
+    m = fit.m
     u = StructuredJacobian(fit.family.variance(fit.predictor)).dense()
-    if use_approx:
-        s = approx_inverse(jac).materialize()
-        w = s @ u @ s
-    else:
-        v_inv = jac.solve(np.eye(jac.dim))
-        w = v_inv @ u @ v_inv
+    v_inv = jac.solve(np.eye(jac.dim))
+    w = v_inv @ u @ v_inv
     w = 0.5 * (w + w.T)
-    q = np.empty((m, n))
-    idx_a = np.arange(m)
-    idx_b = m + np.arange(n - 1)
-    q[:, : n - 1] = (
-        w[idx_a, idx_a][:, None]
-        + 2.0 * w[np.ix_(idx_a, idx_b)]
-        + w[idx_b, idx_b][None, :]
-    )
-    q[:, n - 1] = w[idx_a, idx_a]
+    w_diag = np.diag(w)
     mu2 = fit.family.mean_d2(fit.predictor)
-    total = fit.covariates.total(mu2 * q)
-    return total / (2.0 * math.sqrt(fit.n_edges))
+    return _bias_sum(fit, mu2, _pair_quadratics(w_diag[:m], w[:m, m:], w_diag[m:]))
 
 
 def bias_corrected_coefficients(
@@ -387,7 +383,8 @@ class InferenceComponents:
 
     Extracted from a converged fit (degree-parameter estimates, Jacobian
     diagonal, degree-variance diagonal, the coupling totals, and the
-    coefficient covariance), so tests can run later without the graph.
+    coefficient covariance), so tests can run later without the graph;
+    ``to_json`` gives the ``fit.json`` entries ``from_json`` reads back.
     """
 
     m: int
@@ -403,6 +400,27 @@ class InferenceComponents:
     def __post_init__(self):
         for name in ("theta", "gamma", "v_diag", "u_diag", "gamma_covariance"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+
+    def degree_se(self, slot, other=None):
+        """Standard error of ``theta[slot]`` or ``theta[slot] - theta[other]``."""
+        return _degree_se(self.u_diag, self.v_diag, self.u_tail, self.v_tail,
+                          slot, other)
+
+    def to_json(self) -> dict:
+        out = {}
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            out[f.name] = value.tolist() if isinstance(value, np.ndarray) else value
+        return out
+
+    @classmethod
+    def from_json(cls, raw: dict) -> "InferenceComponents":
+        """The components in ``raw``, a mapping with at least the keys
+        ``to_json`` writes; a missing key raises ``ConfigError``."""
+        try:
+            return cls(**{f.name: raw[f.name] for f in dataclasses.fields(cls)})
+        except KeyError as exc:
+            raise ConfigError(f"fit report is missing field {exc}") from None
 
 
 def components_from_fit(fit: FitResult, method: str = "fisher") -> InferenceComponents:
@@ -427,15 +445,17 @@ def wald_from_components(
 ) -> WaldTest:
     """Wald test of a parameter (or within-side difference) contrast.
 
-    Single degree parameters use the diagonal-plus-coupling variance;
-    differences of two degree parameters drop the shared coupling term.
-    Coefficient contrasts take their standard error from the stored
-    coefficient covariance.
+    Degree parameters and their differences take their standard error
+    from ``comp.degree_se``, coefficient contrasts from the stored
+    coefficient covariance.  A null value that is not finite raises
+    ``ConfigError``.
     """
     if isinstance(contrast, str):
         contrast = parse_contrast(contrast)
     if null_value is None:
         null_value = contrast.null_value
+    if not math.isfinite(null_value):
+        raise ConfigError(f"null value must be finite, got {null_value!r}")
     m, n = comp.m, comp.n
 
     def theta_slot(kind, index):
@@ -455,18 +475,12 @@ def wald_from_components(
     elif contrast.other_index is None:
         slot = theta_slot(contrast.kind, contrast.index)
         estimate = float(comp.theta[slot])
-        se = math.sqrt(
-            comp.u_diag[slot] / comp.v_diag[slot] ** 2
-            + comp.u_tail / comp.v_tail**2
-        )
+        se = comp.degree_se(slot)
     else:
         slot_a = theta_slot(contrast.kind, contrast.index)
         slot_b = theta_slot(contrast.kind, contrast.other_index)
         estimate = float(comp.theta[slot_a] - comp.theta[slot_b])
-        se = math.sqrt(
-            comp.u_diag[slot_a] / comp.v_diag[slot_a] ** 2
-            + comp.u_diag[slot_b] / comp.v_diag[slot_b] ** 2
-        )
+        se = comp.degree_se(slot_a, slot_b)
     statistic = (estimate - null_value) / se
     p_value = 2.0 * float(norm.sf(abs(statistic)))
     described = Contrast(

@@ -32,7 +32,7 @@ from .data import BipartiteGraph, CovariateTensor
 from .errors import ConfigError, FitError, IllPosedError
 from .families import POISSON_ETA_CAP, ModelFamily, get_family
 from .fitter import FitOptions, FitResult, ParameterSet, fit
-from .inference import _degree_variances, coefficient_inference, node_standard_errors
+from .inference import coefficient_inference, components_from_fit
 
 Z_95 = float(norm.ppf(0.975))
 
@@ -214,9 +214,7 @@ def _score_replication(
     scenario: Scenario, replication: int, truth: ParameterSet, result: FitResult
 ) -> ReplicationRecord:
     m, n = scenario.m, scenario.n
-    v_alpha = result.jacobian.diag_alpha
-    u_diag, _u_tail = _degree_variances(result)
-    node_se = node_standard_errors(result)
+    comp = components_from_fit(result)
     tracked = tracked_indices(m, n)
 
     abs_errors = {}
@@ -231,19 +229,15 @@ def _score_replication(
         key = sys.intern(f"alpha:{i}")
         err = result.params.alpha[i - 1] - truth.alpha[i - 1]
         abs_errors[key] = abs(float(err))
-        zeta[key] = float(err / node_se.alpha[i - 1])
+        zeta[key] = float(err / comp.degree_se(i - 1))
     for j in tracked["beta"]:
         key = sys.intern(f"beta:{j}")
         err = result.params.beta[j - 1] - truth.beta[j - 1]
         abs_errors[key] = abs(float(err))
-        zeta[key] = float(err / node_se.beta[j - 1])
+        zeta[key] = float(err / comp.degree_se(m + j - 1))
 
-    # neighbouring-actor contrasts: shared-coupling term drops out
     for i, j in tracked["alpha_pairs"]:
-        se = math.sqrt(
-            u_diag[i - 1] / v_alpha[i - 1] ** 2
-            + u_diag[j - 1] / v_alpha[j - 1] ** 2
-        )
+        se = float(comp.degree_se(i - 1, j - 1))
         est = result.params.alpha[i - 1] - result.params.alpha[j - 1]
         true = truth.alpha[i - 1] - truth.alpha[j - 1]
         key = sys.intern(f"alpha:{i}-alpha:{j}")
@@ -305,8 +299,10 @@ def run_scenario(scenario: Scenario, workers: int = 1) -> ScenarioSummary:
     Nonconverged replications are excluded from every aggregate and
     surface only through the reported nonconvergence rate.  The reduction
     is ordered by replication index, so worker count never changes the
-    result.
+    result.  Fewer than one worker raises ``ConfigError``.
     """
+    if workers < 1:
+        raise ConfigError(f"workers must be at least 1, got {workers}")
     reps = range(scenario.replications)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -8,7 +8,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from bimoment import ParameterSet, StructuredJacobian, cli, fitter
+from bimoment import FitOptions, ParameterSet, StructuredJacobian, cli, fitter
 from bimoment.cli import (
     EXIT_CONFIG,
     EXIT_ILL_POSED,
@@ -329,6 +329,27 @@ class TestTestCommand:
                    "--contrast", "alpha:9999"])
         assert rc == EXIT_CONFIG
 
+    @pytest.mark.parametrize("argv", [
+        ["--contrast", "alpha:1", "--null", "nan"],
+        ["--contrast", "alpha:1-alpha:2", "--null", "inf"],
+        ["--contrast", "gamma:1=1e999"],
+    ], ids=["null-nan", "null-inf", "overflowing-contrast"])
+    def test_non_finite_null_is_usage_error(self, fit_run, capsys, argv):
+        rc = main(["test", str(fit_run / "fit.json"), *argv])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "null value must be finite" in err
+        assert "Traceback" not in err
+
+    def test_sidecar_missing_a_component_is_usage_error(self, fit_run, tmp_path, capsys):
+        sidecar = json.loads((fit_run / "fit.json").read_text())
+        del sidecar["u_tail"]
+        broken = tmp_path / "fit.json"
+        broken.write_text(json.dumps(sidecar))
+        rc = main(["test", str(broken), "--contrast", "alpha:1"])
+        assert rc == EXIT_CONFIG
+        assert "missing field 'u_tail'" in capsys.readouterr().err
+
     def test_written_test_report(self, fit_run, tmp_path):
         out = tmp_path / "tests_out"
         rc = main(["test", str(fit_run / "fit.json"),
@@ -370,6 +391,20 @@ class TestSimulateCommand:
         main(["simulate", str(path), "--out-dir", str(out1)])
         main(["simulate", str(path), "--seed", "8", "--out-dir", str(out2)])
         assert (out1 / "summary.tsv").read_bytes() != (out2 / "summary.tsv").read_bytes()
+
+    @pytest.mark.parametrize("argv, env", [
+        (["--threads", "0"], None), (["--threads", "-3"], None), ([], "0"),
+    ], ids=["threads-0", "threads-negative", "env-threads-0"])
+    def test_fewer_than_one_worker_is_usage_error(self, tmp_path, capsys,
+                                                  monkeypatch, argv, env):
+        if env is not None:
+            monkeypatch.setenv("BIMOMENT_THREADS", env)
+        out = tmp_path / "out"
+        rc = main(["simulate", str(self.scenario_file(tmp_path)), *argv,
+                   "--out-dir", str(out)])
+        assert rc == EXIT_CONFIG
+        assert "workers must be at least 1" in capsys.readouterr().err
+        assert not (out / "summary.tsv").exists()
 
     def test_unknown_family_in_scenario(self, tmp_path):
         path = self.scenario_file(tmp_path, family="probit")
@@ -456,6 +491,12 @@ class TestSolverOptions:
 
 
 class TestEnvironmentOverrides:
+    def test_solver_defaults_are_fit_options_defaults(self, monkeypatch):
+        for variable in ("BIMOMENT_TOL", "BIMOMENT_MAX_ITER"):
+            monkeypatch.delenv(variable, raising=False)
+        args = cli.build_parser().parse_args(["fit", "edges.tsv"])
+        assert FitOptions(tol=args.tol, max_iter=args.max_iter) == FitOptions()
+
     def test_family_from_environment(self, tmp_path, monkeypatch):
         edges = tmp_path / "edges.tsv"
         edges.write_text("u1\tm1\t2\nu1\tm2\t1\nu2\tm1\t1\nu2\tm2\t3\n")

@@ -155,13 +155,6 @@ class TestStructuredJacobian:
         with pytest.raises(FitError):
             StructuredJacobian([[0.1, 0.0], [0.2, 0.3]])
 
-    def test_tail_weights(self, rng):
-        graph, cov, truth = feasible_instance(rng, 5, 4, 1, POISSON)
-        jac = build_jacobian(truth, cov, POISSON)
-        assert jac.v_tail == pytest.approx(jac.slopes[:, -1].sum())
-        np.testing.assert_allclose(jac.tail_weights[:5], jac.slopes[:, -1])
-        assert np.allclose(jac.tail_weights[5:], 0.0)
-
 
 class TestStructuredSolve:
     def test_decoupled_limit_is_pure_diagonal(self):

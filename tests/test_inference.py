@@ -36,7 +36,12 @@ from bimoment import (
 from bimoment import inference
 from bimoment.errors import ConfigError, FitError
 from bimoment.fitter import FitResult, mixed_moment_derivative, profile_jacobian
-from bimoment.inference import REPORT_HEADER, components_from_fit, wald_from_components
+from bimoment.inference import (
+    REPORT_HEADER,
+    InferenceComponents,
+    components_from_fit,
+    wald_from_components,
+)
 
 from conftest import checkerboard_graph, feasible_instance
 
@@ -257,8 +262,8 @@ class TestCoefficientCovariance:
             calls.append(args)
             return information(*args)
 
-        information = inference._information
-        monkeypatch.setattr(inference, "_information", counting_information)
+        information = inference.information_at
+        monkeypatch.setattr(inference, "information_at", counting_information)
         for method in ("fisher", "sandwich"):
             coefficient_inference(result, method)
             coefficient_covariance(result, method)
@@ -555,6 +560,41 @@ class TestWaldTests:
         direct = wald_test(result, "beta:1-beta:2")
         via_components = wald_from_components(comp, "beta:1-beta:2")
         assert direct == via_components
+
+    def test_components_json_round_trip(self, rng):
+        graph, cov, _ = feasible_instance(rng, 6, 5, 2, LOGISTIC)
+        comp = components_from_fit(fit(graph, cov, LOGISTIC), "sandwich")
+        back = InferenceComponents.from_json(comp.to_json())
+        for f in dataclasses.fields(InferenceComponents):
+            assert np.array_equal(getattr(back, f.name), getattr(comp, f.name)), f.name
+
+    def test_degree_se_is_the_only_degree_standard_error(self, rng):
+        graph, cov, _ = feasible_instance(rng, 7, 6, 1, POISSON)
+        result = fit(graph, cov, POISSON)
+        comp = components_from_fit(result)
+        node_se = node_standard_errors(result)
+        assert np.array_equal(comp.degree_se(slice(None)),
+                              np.concatenate([node_se.alpha, node_se.beta]))
+        for i in range(result.m):
+            assert comp.degree_se(i) == node_se.alpha[i]
+            assert wald_test(result, f"alpha:{i + 1}").standard_error == node_se.alpha[i]
+        for j in range(result.n - 1):
+            assert comp.degree_se(result.m + j) == node_se.beta[j]
+        # a difference drops the coupling term of each single variance
+        diff = comp.degree_se(result.m, result.m + 1)
+        assert wald_test(result, "beta:1-beta:2").standard_error == diff
+        coupling = comp.u_tail / comp.v_tail**2
+        assert diff**2 == pytest.approx(node_se.beta[0]**2 + node_se.beta[1]**2
+                                        - 2.0 * coupling, rel=1e-12)
+
+    @pytest.mark.parametrize("contrast, null_value", [
+        ("alpha:1", math.nan), ("beta:1-beta:2", math.inf), ("gamma:1=1e999", None),
+    ], ids=["nan", "inf", "overflowing-contrast"])
+    def test_non_finite_null_is_config_error(self, rng, contrast, null_value):
+        graph, cov, _ = feasible_instance(rng, 6, 5, 1, LOGISTIC)
+        comp = components_from_fit(fit(graph, cov, LOGISTIC))
+        with pytest.raises(ConfigError, match="finite"):
+            wald_from_components(comp, contrast, null_value)
 
 
 class TestReports:
