@@ -479,9 +479,9 @@ def save_edge_list(graph: BipartiteGraph, path, delimiter: str = "\t"):
 def load_attribute_table(path, delimiter: str = "\t", id_column: str = None) -> NodeAttributeTable:
     """Read a delimited table with a header row into a node-attribute table.
 
-    The id column defaults to the first header entry; every node must
-    appear exactly once.  A file that is not valid UTF-8 raises
-    ``DataError``.
+    The id column defaults to the first header entry; every column name
+    and every node must appear exactly once.  A file that is not valid
+    UTF-8 raises ``DataError``.
     """
     _check_delimiter(delimiter)
     try:
@@ -490,6 +490,9 @@ def load_attribute_table(path, delimiter: str = "\t", id_column: str = None) -> 
             if not header_line.strip():
                 raise DataError("missing header row", line_number=1)
             header = [h.strip() for h in header_line.split(delimiter)]
+            repeated = next((h for k, h in enumerate(header) if h in header[:k]), None)
+            if repeated is not None:
+                raise DataError(f"header repeats column {repeated!r}", line_number=1)
             if id_column is None:
                 id_column = header[0]
             if id_column not in header:

@@ -32,7 +32,7 @@ import re
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr, ndtri
 
 from .data import weighted_gram
 from .errors import ConfigError, FitError
@@ -416,11 +416,56 @@ class InferenceComponents:
     @classmethod
     def from_json(cls, raw: dict) -> "InferenceComponents":
         """The components in ``raw``, a mapping with at least the keys
-        ``to_json`` writes; a missing key raises ``ConfigError``."""
+        ``to_json`` writes.  A missing or malformed field raises
+        ``ConfigError`` naming it: ``m`` and ``n`` must be integers >= 1;
+        ``theta``, ``v_diag`` and ``u_diag`` finite 1-d arrays of length
+        m+n-1, the variances positive; ``v_tail`` and ``u_tail`` finite
+        and positive; ``gamma`` finite and 1-d, and ``gamma_covariance`` a
+        finite p x p matrix."""
+        if not isinstance(raw, dict):
+            raise ConfigError("fit report must be a JSON object")
         try:
-            return cls(**{f.name: raw[f.name] for f in dataclasses.fields(cls)})
+            values = {f.name: raw[f.name] for f in dataclasses.fields(cls)}
         except KeyError as exc:
             raise ConfigError(f"fit report is missing field {exc}") from None
+
+        def bad(name, expected):
+            return ConfigError(f"fit report field {name!r} must be {expected}")
+
+        for name in ("m", "n"):
+            value = values[name]
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise bad(name, f"an integer >= 1, got {value!r}")
+        for name in ("v_tail", "u_tail"):
+            value = values[name]
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not math.isfinite(value) or value <= 0):
+                raise bad(name, f"a finite number > 0, got {value!r}")
+
+        def finite_array(name, ndim):
+            try:
+                value = np.asarray(values[name], dtype=float)
+            except (TypeError, ValueError):
+                value = None
+            if value is None or value.ndim != ndim or not np.isfinite(value).all():
+                raise bad(name, f"a finite {ndim}-d array of numbers")
+            return value
+
+        length = values["m"] + values["n"] - 1
+        for name in ("theta", "v_diag", "u_diag"):
+            value = finite_array(name, 1)
+            if value.shape[0] != length:
+                raise bad(name, f"of length m+n-1 = {length}, got {value.shape[0]}")
+            if name != "theta" and not (value > 0).all():
+                raise bad(name, "positive")
+            values[name] = value
+        p = finite_array("gamma", 1).shape[0]
+        if p == 0 and values["gamma_covariance"] == []:
+            # JSON writes the empty 0 x 0 matrix as []
+            values["gamma_covariance"] = np.zeros((0, 0))
+        if finite_array("gamma_covariance", 2).shape != (p, p):
+            raise bad("gamma_covariance", f"a {p} x {p} matrix")
+        return cls(**values)
 
 
 def components_from_fit(fit: FitResult, method: str = "fisher") -> InferenceComponents:
@@ -482,7 +527,7 @@ def wald_from_components(
         estimate = float(comp.theta[slot_a] - comp.theta[slot_b])
         se = comp.degree_se(slot_a, slot_b)
     statistic = (estimate - null_value) / se
-    p_value = 2.0 * float(norm.sf(abs(statistic)))
+    p_value = 2.0 * float(ndtr(-abs(statistic)))
     described = Contrast(
         kind=contrast.kind,
         index=contrast.index,
@@ -532,7 +577,7 @@ def report_rows(
     bias-corrected coefficients, each with estimate, SE, Wald statistic
     against zero, p-value, and confidence bounds."""
     _require_converged(fit)
-    zcrit = float(norm.ppf(0.5 * (1.0 + level)))
+    zcrit = float(ndtri(0.5 * (1.0 + level)))
     node_se = node_standard_errors(fit)
     names = [f"alpha:{i + 1}" for i in range(fit.m)]
     names += [f"beta:{j + 1}" for j in range(fit.n - 1)]
@@ -559,7 +604,7 @@ def report_rows(
         estimate.tolist(),
         se.tolist(),
         stat.tolist(),
-        (2.0 * norm.sf(np.abs(stat))).tolist(),
+        (2.0 * ndtr(-np.abs(stat))).tolist(),
         (estimate - zcrit * se).tolist(),
         (estimate + zcrit * se).tolist(),
     ))

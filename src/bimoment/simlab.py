@@ -25,8 +25,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
-from scipy.special import kolmogorov
-from scipy.stats import norm
+from scipy.special import kolmogorov, ndtr, ndtri
 
 from .data import BipartiteGraph, CovariateTensor
 from .errors import ConfigError, FitError, IllPosedError
@@ -34,7 +33,7 @@ from .families import POISSON_ETA_CAP, ModelFamily, get_family
 from .fitter import FitOptions, FitResult, ParameterSet, fit
 from .inference import coefficient_inference, components_from_fit
 
-Z_95 = float(norm.ppf(0.975))
+Z_95 = float(ndtri(0.975))
 
 # covariate scheme -> number of covariates it draws
 COVARIATE_SCHEMES = {"sign-product-2d": 2, "none": 0}
@@ -350,7 +349,7 @@ def ks_normality(samples) -> tuple:
         raise ValueError(f"need at least 30 samples, got {x.size}")
     x = np.sort(x)
     k = x.size
-    cdf = norm.cdf(x)
+    cdf = ndtr(x)
     grid = np.arange(1, k + 1) / k
     d_plus = float(np.max(grid - cdf))
     d_minus = float(np.max(cdf - (grid - 1.0 / k)))

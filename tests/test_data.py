@@ -585,6 +585,12 @@ class TestAttributeTable:
         with pytest.raises(DataError, match="line 3"):
             load_attribute_table(path)
 
+    def test_repeated_column_rejected(self, tmp_path):
+        path = tmp_path / "users.tsv"
+        path.write_text("id\tsex\tsex\nu1\tM\tF\n")
+        with pytest.raises(DataError, match="^line 1: header repeats column 'sex'"):
+            load_attribute_table(path)
+
     def test_column_count_mismatch(self, tmp_path):
         path = tmp_path / "users.tsv"
         path.write_text("id\tsex\nu1\tM\textra\n")

@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtr, ndtri
 from scipy.stats import norm
 
 from bimoment import (
@@ -636,3 +637,43 @@ class TestReports:
         z = norm.ppf(0.95)
         r = rows[0]
         assert r.ci_high - r.estimate == pytest.approx(z * r.se, rel=1e-9)
+
+
+def same_bits(a, b):
+    """Equal to the bit, signed zeros included; NaNs only need to sit at
+    the same places (their payloads are not part of the contract)."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    nan = np.isnan(a)
+    return (np.array_equal(nan, np.isnan(b))
+            and np.array_equal(a[~nan].view(np.uint64), b[~nan].view(np.uint64)))
+
+
+class TestNormalFunctions:
+    """The package takes the standard normal from ``scipy.special``;
+    ``scipy.stats.norm`` is the oracle it must match to the bit."""
+
+    def test_special_functions_match_norm(self):
+        edges = [0.0, -0.0, math.inf, -math.inf, math.nan, 1e308, -1e308, 5e-324]
+        x = np.concatenate([edges, np.linspace(-40.0, 40.0, 4001),
+                            np.logspace(-300.0, 3.0, 500)])
+        assert same_bits(ndtr(-np.abs(x)), norm.sf(np.abs(x)))
+        assert same_bits(ndtr(x), norm.cdf(x))
+        q = np.concatenate([[0.0, -0.0, 1.0, math.nan, 5e-324, 1.0 - 2.0**-53],
+                            np.linspace(0.0, 1.0, 4001), np.logspace(-300.0, 0.0, 500)])
+        assert same_bits(ndtri(q), norm.ppf(q))
+
+    def test_report_rows_match_norm(self, rng):
+        graph, cov, _ = feasible_instance(rng, 6, 5, 2, LOGISTIC)
+        rows = report_rows(fit(graph, cov, LOGISTIC))
+        z = norm.ppf(0.975)
+        for r in rows:
+            assert r.p_value == 2.0 * norm.sf(abs(r.statistic)), r.name
+            assert r.ci_low == r.estimate - z * r.se, r.name
+            assert r.ci_high == r.estimate + z * r.se, r.name
+
+    def test_wald_p_value_matches_norm(self, rng):
+        graph, cov, _ = feasible_instance(rng, 6, 5, 1, LOGISTIC)
+        comp = components_from_fit(fit(graph, cov, LOGISTIC))
+        for contrast in ("alpha:1", "beta:1-beta:2", "gamma:1=0.3"):
+            test = wald_from_components(comp, contrast)
+            assert test.p_value == 2.0 * float(norm.sf(abs(test.statistic))), contrast

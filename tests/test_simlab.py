@@ -21,6 +21,7 @@ from bimoment import (
 from bimoment import simlab
 from bimoment.errors import ModelDegeneracyError
 from bimoment.simlab import (
+    Z_95,
     density_level_menu,
     run_replication,
     tracked_indices,
@@ -235,6 +236,19 @@ class TestNormalityCheck:
             ks_normality([])
         with pytest.raises(ValueError):
             ks_normality(np.zeros(10))
+
+    def test_normal_functions_match_norm(self):
+        # the package takes the standard normal from scipy.special;
+        # scipy.stats.norm is the oracle it must match to the bit
+        from scipy.stats import norm
+
+        assert Z_95 == float(norm.ppf(0.975))
+        x = np.sort(np.random.default_rng(5).normal(size=400))
+        cdf = norm.cdf(x)
+        grid = np.arange(1, x.size + 1) / x.size
+        expected = max(float(np.max(grid - cdf)),
+                       float(np.max(cdf - (grid - 1.0 / x.size))))
+        assert ks_normality(x)[0] == expected
 
     def test_statistic_matches_reference_implementation(self):
         from scipy.stats import kstest
