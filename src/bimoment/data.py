@@ -10,6 +10,7 @@ All containers are immutable after construction and safe to share.
 
 from __future__ import annotations
 
+import numbers
 import operator
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -98,29 +99,26 @@ class CovariateTensor:
 
     ``p = 0`` is the pure bipartite model without covariates.  The sup
     norm bound of the entries is recorded at construction; declaring a
-    tighter bound than the data satisfies is an error.
+    tighter bound than the data satisfies is an error, and so is a bound
+    that is not a real number >= 0 (``inf`` declares none).
 
-    ``values`` is stored C-contiguous whatever the input's memory order,
-    so ``flat``, the (m*n, p) matrix with one row per dyad ``(i, j)`` at
-    row ``i * n + j``, is a view and never a copy.  The model contracts
-    ``z`` against an m x n weight matrix ``w`` in three ways, each a BLAS
-    product on that layout rather than a nested loop over (i, j, k):
-
-    * ``total(w)``, ``sum_ij w_ij z_ij``: one matrix-vector product on
-      ``flat``;
-    * ``gram(w)``, ``sum_ij w_ij z_ij z_ij^T``: ``flat^T (w * flat)``,
-      one matrix-matrix product (``weighted_gram``);
-    * ``margins(w)``, the actor sums ``sum_j w_ij z_ij`` and the event
-      sums ``sum_i w_ij z_ij``: one batched matrix-vector product per
-      side, the actor side on contiguous (n, p) slices and the event side
-      on strided (m, p) slices.
+    The data are stored once, as ``planes``: a read-only C-contiguous
+    (p, m, n) array whatever the input's memory order, so each covariate
+    ``z_k`` is one contiguous m x n plane, and ``rows`` is its (p, m*n)
+    view.  ``values`` is the (m, n, p) view of the same memory.  Every
+    contraction of ``z`` is a BLAS product on the rows: ``gamma @ rows``
+    in the predictor, ``total(w)`` and ``plane_moments``.
     """
 
     values: np.ndarray
     bound: float = None
     names: tuple = None
+    planes: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        if self.bound is not None and not (isinstance(self.bound, numbers.Real)
+                                           and self.bound >= 0):
+            raise ConfigError(f"covariate bound must be a real number >= 0, got {self.bound!r}")
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 3:
             raise DataError("covariates must have shape (m, n, p)")
@@ -133,58 +131,63 @@ class CovariateTensor:
             raise DataError(
                 f"covariate magnitude {observed:g} exceeds declared bound {self.bound:g}"
             )
-        object.__setattr__(self, "values", _frozen(v))
+        planes = _frozen(np.moveaxis(v, 2, 0))
+        object.__setattr__(self, "planes", planes)
+        object.__setattr__(self, "values", np.moveaxis(planes, 0, 2))
         if self.names is None:
-            object.__setattr__(self, "names", tuple(f"z{k + 1}" for k in range(v.shape[2])))
+            object.__setattr__(self, "names", tuple(f"z{k + 1}" for k in range(self.p)))
         else:
             object.__setattr__(self, "names", tuple(self.names))
-            if len(self.names) != v.shape[2]:
+            if len(self.names) != self.p:
                 raise DataError("covariate name count does not match p")
 
     @property
     def m(self) -> int:
-        return self.values.shape[0]
+        return self.planes.shape[1]
 
     @property
     def n(self) -> int:
-        return self.values.shape[1]
+        return self.planes.shape[2]
 
     @property
     def p(self) -> int:
-        return self.values.shape[2]
+        return self.planes.shape[0]
 
     @property
-    def flat(self) -> np.ndarray:
-        """The (m*n, p) view of ``values``, one row per dyad in row-major
-        order (explicit sizes, so ``p = 0`` works too)."""
-        return self.values.reshape(self.m * self.n, self.p)
+    def rows(self) -> np.ndarray:
+        """The (p, m*n) view of ``planes``, one row per covariate (explicit
+        sizes, so ``p = 0`` works too)."""
+        return self.planes.reshape(self.p, self.m * self.n)
 
     def total(self, weights: np.ndarray) -> np.ndarray:
-        """``sum_ij w_ij z_ij`` (length p) for an m x n matrix ``w``."""
-        return np.reshape(weights, self.m * self.n) @ self.flat
-
-    def gram(self, weights: np.ndarray) -> np.ndarray:
-        """``sum_ij w_ij z_ij z_ij^T`` (p x p) for an m x n matrix ``w``."""
-        return weighted_gram(self.flat, weights)
-
-    def margins(self, weights: np.ndarray) -> tuple:
-        """``(actor, event)`` for an m x n matrix ``w``: ``actor[i] =
-        sum_j w_ij z_ij`` (m x p) and ``event[j] = sum_i w_ij z_ij``
-        (n x p)."""
-        actor = np.matmul(weights[:, None, :], self.values)[:, 0, :]
-        event = np.matmul(weights.T[:, None, :], self.values.transpose(1, 0, 2))[:, 0, :]
-        return actor, event
+        """``sum_ij w_ij z_ij`` (length p) for an m x n matrix ``w``: one
+        matrix-vector product."""
+        return self.rows @ np.reshape(weights, self.m * self.n)
 
     @classmethod
     def empty(cls, m: int, n: int) -> "CovariateTensor":
         return cls(values=np.zeros((m, n, 0)), bound=0.0)
 
 
-def weighted_gram(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """``sum_r w_r rows_r rows_r^T`` for an (N, p) matrix of rows and N
-    weights (any shape with N entries): one BLAS matrix product.  The
-    result is symmetric only up to rounding."""
-    return rows.T @ (rows * np.reshape(weights, (-1, 1)))
+def plane_moments(planes: np.ndarray, weights: np.ndarray) -> tuple:
+    """``(actor, event, gram)`` for a C-contiguous (p, m, n) stack of
+    planes ``z_k`` and an m x n matrix ``w``: ``actor[k, i] = sum_j w_ij
+    z_kij``, ``event[k, j] = sum_i w_ij z_kij`` and ``gram[k, l] = sum_ij
+    w_ij z_kij z_lij``.  Per plane, ``zw = z_k * w`` is formed once in one
+    m x n buffer; its row and column sums are the margins and its product
+    with planes ``k..p-1`` is ``gram[k, k:]``, mirrored into ``gram[k:,
+    k]``, so ``gram`` is exactly symmetric."""
+    p, m, n = planes.shape
+    rows = planes.reshape(p, m * n)
+    actor, event, gram = np.empty((p, m)), np.empty((p, n)), np.empty((p, p))
+    zw = np.empty((m, n))
+    ones_m, ones_n = np.ones(m), np.ones(n)
+    for k in range(p):
+        np.multiply(planes[k], weights, out=zw)
+        actor[k] = zw @ ones_n
+        event[k] = ones_m @ zw
+        gram[k, k:] = gram[k:, k] = rows[k:] @ zw.reshape(m * n)
+    return actor, event, gram
 
 
 @dataclass(frozen=True)
@@ -595,7 +598,7 @@ def build_match_covariates(
         layers.append(layer)
     if not layers:
         return CovariateTensor.empty(m, n)
-    values = np.stack(layers, axis=2)
+    planes = np.stack(layers)
     return CovariateTensor(
-        values=values, bound=1.0, names=tuple(mp.name for mp in mappings)
+        values=np.moveaxis(planes, 0, 2), bound=1.0, names=tuple(mp.name for mp in mappings)
     )

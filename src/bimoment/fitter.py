@@ -35,8 +35,8 @@ reference against which ``H`` is checked.
 
 Every covariate sum over dyads (``z @ gamma`` in the predictor, the
 totals ``sum_ij z_ij w_ij``, ``A`` and the mixed derivatives ``C``) is a
-BLAS product on the C-contiguous (m*n, p) view ``CovariateTensor.flat``;
-``CovariateTensor`` says which product each one is.
+BLAS product on the per-covariate planes of ``CovariateTensor``, which
+says which product each one is; ``C`` and ``A`` share one pass.
 
 A solution need not exist (a zero-degree actor under a positive mean
 function, for instance); divergence is detected and reported as
@@ -53,7 +53,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
-from .data import BipartiteGraph, CovariateTensor, DegreeVector, degrees
+from .data import BipartiteGraph, CovariateTensor, DegreeVector, degrees, plane_moments
 from .errors import (
     ConfigError,
     DataError,
@@ -144,7 +144,7 @@ class ParameterSet:
         """The m x n matrix pi_ij = alpha_i + beta_j + z_ij @ gamma."""
         pi = self.alpha[:, None] + self.beta[None, :]
         if self.p:
-            pi = pi + (covariates.flat @ self.gamma).reshape(self.m, self.n)
+            pi = pi + (self.gamma @ covariates.rows).reshape(self.m, self.n)
         return pi
 
 
@@ -245,18 +245,22 @@ class StructuredJacobian:
             return actors, events, self.diag_alpha, self.diag_beta, self.cross
         return events, actors, self.diag_beta, self.diag_alpha, self.cross.T
 
+    def schur_complement(self) -> np.ndarray:
+        """The kept block's Schur complement ``diag(d_kept) - s s^T`` with
+        ``s = cross_ke diag(d_elim)^{-1/2}``: ``s s^T`` is one BLAS syrk,
+        half the flops of a general product, and exactly symmetric."""
+        _kept, _elim, d_kept, d_elim, cross_ke = self._sides
+        s = cross_ke / np.sqrt(d_elim)
+        return np.diag(d_kept) - s @ s.T
+
     @cached_property
     def _schur_factor(self):
-        """Cholesky factor of the kept block's Schur complement
-        ``diag(d_kept) - cross_ke diag(d_elim)^{-1} cross_ke^T``, or
-        ``None`` when the kept block is empty (a single event)."""
-        _kept, _elim, d_kept, d_elim, cross_ke = self._sides
-        if d_kept.size == 0:
+        """Cholesky factor of ``schur_complement``, or ``None`` when the
+        kept block is empty (a single event)."""
+        if self.n == 1:
             return None
-        g = cross_ke.T / d_elim[:, None]
-        complement = np.diag(d_kept) - cross_ke @ g
         try:
-            return scipy.linalg.cho_factor(complement, lower=True)
+            return scipy.linalg.cho_factor(self.schur_complement(), lower=True)
         except scipy.linalg.LinAlgError as exc:
             raise SingularJacobianError(f"Schur complement not PD: {exc}") from exc
 
@@ -628,17 +632,16 @@ def information_at(jac: StructuredJacobian, covariates: CovariateTensor) -> np.n
     Jacobian is ``jac``."""
     if covariates.p == 0:
         return np.zeros((0, 0))
-    c = mixed_moment_derivative(covariates, jac.slopes)
-    h, _chol = _information(covariates, jac.slopes, c, jac.solve(c.T))
+    c, a = covariate_moments(covariates, jac.slopes)
+    h, _chol = _information(a, c, jac.solve(c.T))
     return h
 
 
-def _information(covariates, slopes, c, x_c) -> tuple:
+def _information(a, c, x_c) -> tuple:
     """``H = A - C X_C`` with ``A = sum_ij z z^T mu'`` and ``X_C = V^{-1}
-    C^T``, plus its lower Cholesky factor.  ``A`` is one BLAS product on
-    the covariates' (m*n, p) view (``CovariateTensor.gram``).  Raises
-    ``IllPosedError`` unless ``H`` is symmetric positive definite."""
-    h = covariates.gram(slopes) - c @ x_c
+    C^T``, plus its lower Cholesky factor.  Raises ``IllPosedError``
+    unless ``H`` is symmetric positive definite."""
+    h = a - c @ x_c
     h = 0.5 * (h + h.T)
     try:
         chol = np.linalg.cholesky(h)
@@ -653,13 +656,18 @@ def _information(covariates, slopes, c, x_c) -> tuple:
 def mixed_moment_derivative(
     covariates: CovariateTensor, slopes: np.ndarray
 ) -> np.ndarray:
-    """The p x (m+n-1) matrix of covariate-residual derivatives in the
-    degree parameters: column i is ``sum_j z_ij mu'_ij``, column m+j is
-    ``sum_i z_ij mu'_ij`` (events 1..n-1).  Both sides are the batched
-    BLAS products of ``CovariateTensor.margins``; the dropped event's sum
-    is computed and discarded."""
-    actor, event = covariates.margins(slopes)
-    return np.concatenate([actor.T, event[:-1].T], axis=1)
+    """The p x (m+n-1) matrix ``C`` of covariate-residual derivatives in
+    the degree parameters: column i is ``sum_j z_ij mu'_ij``, column m+j
+    is ``sum_i z_ij mu'_ij`` (events 1..n-1)."""
+    return covariate_moments(covariates, slopes)[0]
+
+
+def covariate_moments(covariates: CovariateTensor, slopes: np.ndarray) -> tuple:
+    """``(C, A)``, ``C`` as in ``mixed_moment_derivative`` and ``A =
+    sum_ij z_ij z_ij^T mu'_ij``, from one ``plane_moments`` pass; the
+    dropped event's sum is computed and discarded."""
+    actor, event, a = plane_moments(covariates.planes, slopes)
+    return np.concatenate([actor, event[:, :-1]], axis=1), a
 
 
 def fit(
@@ -830,10 +838,10 @@ def _newton_direction(slopes, covariates: CovariateTensor, res: MomentResiduals)
     if res.covariate.size == 0:
         x_f, iterations = _degree_solve(jac, res.degree)
         return x_f, np.zeros(covariates.p), iterations
-    c = mixed_moment_derivative(covariates, slopes)
+    c, a = covariate_moments(covariates, slopes)
     x, iterations = _degree_solve(jac, np.column_stack([res.degree, c.T]))
     x_f, x_c = x[:, 0], x[:, 1:]
-    _h, chol = _information(covariates, slopes, c, x_c)
+    _h, chol = _information(a, c, x_c)
     dgamma = scipy.linalg.cho_solve((chol, True), res.covariate - c @ x_f)
     return x_f - x_c @ dgamma, dgamma, iterations
 

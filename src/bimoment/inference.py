@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .data import weighted_gram
+from .data import plane_moments
 from .errors import ConfigError, FitError
 from .fitter import (
     FitResult,
@@ -137,20 +137,17 @@ class ScoreTermSet:
 
 def score_terms(fit: FitResult) -> ScoreTermSet:
     """Assemble the score covariance with exact inverse applications.
-    ``sigma`` is one BLAS product on the (m*n, p) view of ``ztilde``
-    (``data.weighted_gram``, as ``CovariateTensor.gram``)."""
+    ``ztilde`` is built as (p, m, n) planes, like ``CovariateTensor.planes``,
+    and ``sigma`` is their per-plane gram (``data.plane_moments``), exactly
+    symmetric."""
     jac = fit.jacobian
-    z = fit.covariates.values
-    m, n, p = fit.m, fit.n, fit.covariates.p
+    m = fit.m
     c = mixed_moment_derivative(fit.covariates, jac.slopes)
     k = jac.solve(c.T).T  # p x (m+n-1)
-    ztilde = z.copy()
-    ztilde -= k[:, :m].T[:, None, :]
-    ztilde[:, : n - 1, :] -= k[:, m:].T[None, :, :]
-    var = fit.family.variance(fit.predictor)
-    sigma = weighted_gram(ztilde.reshape(m * n, p), var)
-    sigma = 0.5 * (sigma + sigma.T)
-    return ScoreTermSet(adjusted_covariates=ztilde, sigma=sigma)
+    ztilde = fit.covariates.planes - k[:, :m, None]
+    ztilde[:, :, :-1] -= k[:, None, m:]
+    _actor, _event, sigma = plane_moments(ztilde, fit.family.variance(fit.predictor))
+    return ScoreTermSet(adjusted_covariates=np.moveaxis(ztilde, 0, 2), sigma=sigma)
 
 
 def coefficient_covariance(fit: FitResult, method: str = "fisher") -> np.ndarray:

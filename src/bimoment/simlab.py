@@ -151,8 +151,8 @@ def generate_covariates(
     e1 = sign(n, 0.6)
     a2 = sign(m, 0.5)
     e2 = sign(n, 0.5)
-    values = np.stack([np.outer(a1, e1), np.outer(a2, e2)], axis=2)
-    return CovariateTensor(values=values, bound=1.0, names=("z1", "z2"))
+    planes = np.stack([np.outer(a1, e1), np.outer(a2, e2)])
+    return CovariateTensor(values=np.moveaxis(planes, 0, 2), bound=1.0, names=("z1", "z2"))
 
 
 def simulate_network(

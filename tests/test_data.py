@@ -1,5 +1,7 @@
 """Graph containers, ingestion, degree filtering, and match covariates."""
 
+import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -15,6 +17,7 @@ from bimoment import (
     DataError,
     MatchMapping,
     NodeAttributeTable,
+    ParameterSet,
     build_match_covariates,
     degrees,
     filter_by_degree,
@@ -428,8 +431,18 @@ class TestCovariateTensor:
         tensor = CovariateTensor.empty(3, 4)
         assert tensor.p == 0 and tensor.values.shape == (3, 4, 0)
 
+    @pytest.mark.parametrize("bound", [math.nan, -1.0, -math.inf, "1", 1j])
+    def test_invalid_bound_is_a_config_error(self, bound):
+        with pytest.raises(ConfigError, match=re.escape(repr(bound))):
+            CovariateTensor(np.zeros((2, 2, 1)), bound=bound)
+
+    @pytest.mark.parametrize("bound", [0, 0.0, 2, np.float64(1.5), math.inf])
+    def test_real_nonnegative_bound_is_kept(self, bound):
+        tensor = CovariateTensor(np.zeros((2, 2, 1)), bound=bound)
+        assert tensor.bound == bound
+
     @pytest.mark.parametrize("layout", ["C", "F", "moveaxis", "strided", "p0"])
-    def test_flat_is_a_view_whatever_the_input_order(self, layout):
+    def test_values_view_the_planes_whatever_the_input_order(self, layout):
         base = np.arange(2 * 3 * 4, dtype=float).reshape(2, 3, 4)
         values = {
             "C": base,
@@ -439,28 +452,30 @@ class TestCovariateTensor:
             "p0": np.zeros((2, 3, 0)),
         }[layout]
         tensor = CovariateTensor(values)
-        assert tensor.values.flags.c_contiguous
-        assert tensor.flat.shape == (6, tensor.p)
-        assert tensor.flat.base is tensor.values
-        np.testing.assert_array_equal(tensor.flat, np.reshape(values, (6, tensor.p)))
+        assert tensor.planes.flags.c_contiguous
+        assert tensor.planes.shape == (tensor.p, 2, 3)
+        assert tensor.values.base is tensor.planes
+        assert not tensor.planes.flags.writeable and not tensor.values.flags.writeable
+        np.testing.assert_array_equal(tensor.values, values)
         if tensor.p:    # an empty array shares no memory with anything
-            assert np.shares_memory(tensor.flat, tensor.values)
+            assert np.shares_memory(tensor.values, tensor.planes)
 
 
-def einsum_contractions(z, w):
+def einsum_contractions(z, w, gamma):
     """The covariate contractions as ``np.einsum`` computes them: the
     oracle the BLAS products of ``CovariateTensor`` are checked against."""
     return dict(
+        predictor=np.einsum("ijk,k->ij", z, gamma),
         total=np.einsum("ijk,ij->k", z, w),
         gram=np.einsum("ijk,ijl,ij->kl", z, z, w),
-        actor=np.einsum("ijk,ij->ik", z, w),
-        event=np.einsum("ijk,ij->jk", z, w),
+        actor=np.einsum("ijk,ij->ki", z, w),
+        event=np.einsum("ijk,ij->kj", z, w),
     )
 
 
 class TestCovariateContractions:
-    """``total``, ``gram`` and ``margins`` against the einsum oracle, for
-    contiguous and non-contiguous covariates and weights."""
+    """The predictor, ``total`` and ``plane_moments`` against the einsum
+    oracle, for contiguous and non-contiguous covariates and weights."""
 
     @pytest.mark.parametrize("p", [0, 1, 3])
     @pytest.mark.parametrize("shape", [(1, 5), (5, 2), (3, 9), (9, 3)])
@@ -476,13 +491,17 @@ class TestCovariateContractions:
             z, w = np.asfortranarray(z[:, :n]), np.asfortranarray(w[:, :n])
         else:
             z, w = z[:, ::2], w[:, ::2]
+        gamma = rng.normal(size=p)
         tensor = CovariateTensor(z)
-        want = einsum_contractions(z, w)
-        actor, event = tensor.margins(w)
-        got = dict(total=tensor.total(w), gram=tensor.gram(w), actor=actor, event=event)
+        want = einsum_contractions(z, w, gamma)
+        actor, event, gram = data.plane_moments(tensor.planes, w)
+        predictor = ParameterSet(np.zeros(m), np.zeros(n), gamma).linear_predictor(tensor)
+        got = dict(predictor=predictor, total=tensor.total(w), gram=gram,
+                   actor=actor, event=event)
         for name, value in got.items():
             assert value.shape == want[name].shape, name
             np.testing.assert_allclose(value, want[name], rtol=1e-12, atol=0, err_msg=name)
+        assert np.array_equal(gram, gram.T)
 
 
 def attrs(columns, rows):

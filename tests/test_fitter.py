@@ -187,12 +187,25 @@ class TestStructuredSolve:
         np.testing.assert_allclose(x, np.array([5.0, 10.0, 15.0]))
 
     # m < n-1, the boundary m == n-1 and m = 1 keep the actor block;
-    # m > n-1 and the single event keep the event block
-    @pytest.mark.parametrize("shape", [(3, 9), (5, 6), (6, 5), (9, 3), (1, 5), (4, 1)])
+    # m > n-1 and the single event keep the event block; n = 2 keeps one
+    # event, or one actor when m = 1
+    @pytest.mark.parametrize("shape", [(3, 9), (5, 6), (6, 5), (9, 3), (1, 5), (4, 1),
+                                       (5, 2), (1, 2)])
     def test_both_elimination_sides_match_dense_inverse(self, rng, shape):
         m = shape[0]
         jac = StructuredJacobian(rng.uniform(0.05, 0.25, size=shape))
-        v_inv = np.linalg.inv(jac.dense())
+        dense = jac.dense()
+        kept, elim = (slice(0, m), slice(m, jac.dim)) if m <= shape[1] - 1 else \
+            (slice(m, jac.dim), slice(0, m))
+        complement = jac.schur_complement()
+        assert np.array_equal(complement, complement.T)
+        np.testing.assert_allclose(
+            complement,
+            dense[kept, kept] - dense[kept, elim] @ np.linalg.solve(dense[elim, elim],
+                                                                    dense[elim, kept]),
+            rtol=0, atol=1e-12,
+        )
+        v_inv = np.linalg.inv(dense)
         vec = rng.normal(size=jac.dim)
         stacked = rng.normal(size=(jac.dim, 3))
         np.testing.assert_allclose(jac.solve(vec), v_inv @ vec, rtol=0, atol=1e-10)
