@@ -30,12 +30,15 @@ min(m, n-1) is below ``fitter.PCG_MIN_KEPT``).
 Exit codes: 0 success, 2 config/parse error (including an input file
 that is not valid UTF-8, an empty delimiter, a ``--tol`` that is not
 finite and positive, a ``--max-iter`` below 1, a ``--threads`` below 1,
-a malformed scenario field, a fit report missing a Wald component, or a
-null value that is not finite), 3 fitting failure (any
-``FitError``: no finite solution, no convergence, or inference asked of
-an unconverged fit), 4 ill-posed inference, 5 internal error.  Every flag
-can be supplied via an environment variable with the ``BIMOMENT_``
-prefix (dashes become underscores, e.g. ``BIMOMENT_MIN_DEGREE=40``).
+a malformed scenario field, a fit report missing a Wald component, a
+null value that is not finite, or an environment override that does
+not parse), 3 fitting failure (any ``FitError``: no finite solution or
+no convergence), 4 ill-posed inference, 5 internal error.  Every ``fit``
+flag but ``--actor-attrs``, ``--event-attrs`` and ``--mapping``, and
+``simulate --threads`` and ``--out-dir``, can be supplied via an
+environment variable with the ``BIMOMENT_`` prefix (dashes become
+underscores, e.g. ``BIMOMENT_MIN_DEGREE=40``; booleans take
+``1/true/yes/on`` or ``0/false/no/off``); no other flag reads one.
 """
 
 from __future__ import annotations
@@ -79,6 +82,8 @@ from .inference import (
 from .simlab import Scenario, run_scenario, write_qq_samples, write_summary_table
 
 ENV_PREFIX = "BIMOMENT_"
+_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
+             "0": False, "false": False, "no": False, "off": False}
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -92,14 +97,24 @@ def _env_default(flag: str, fallback):
     ``BIMOMENT_MIN_DEGREE``.  The raw string is returned so that argparse
     converts it with the flag's ``type`` and reports a bad value as a
     usage error."""
-    return os.environ.get(ENV_PREFIX + flag.replace("-", "_").upper(), fallback)
+    return os.environ.get(_env_name(flag), fallback)
+
+
+def _env_name(flag: str) -> str:
+    return ENV_PREFIX + flag.replace("-", "_").upper()
 
 
 def _env_flag(flag: str, fallback: bool) -> bool:
+    """Environment override for a boolean flag: a key of ``_BOOLEANS``,
+    in any case; any other value raises ``ConfigError``."""
     raw = _env_default(flag, None)
     if raw is None:
         return fallback
-    return raw.strip().lower() in ("1", "true", "yes", "on")
+    value = _BOOLEANS.get(raw.strip().lower())
+    if value is None:
+        raise ConfigError(f"{_env_name(flag)} must be one of 1/true/yes/on or "
+                          f"0/false/no/off, got {raw!r}")
+    return value
 
 
 def _sha256(path) -> str:
@@ -209,7 +224,7 @@ def cmd_fit(args) -> int:
         **components_from_fit(result, method=args.method).to_json(),
         "family": family.name,
         "p": result.covariates.p,
-        "converged": result.converged,
+        "converged": True,  # fit returns only converged estimates; the key stays
         "actor_labels": list(graph.actor_labels),
         "event_labels": list(graph.event_labels),
         "covariate_names": list(result.covariates.names),
@@ -229,7 +244,7 @@ def cmd_fit(args) -> int:
 
     _write_manifest(out_dir, "fit", vars(args), inputs, None, started)
     print(f"fit: {result.m} actors x {result.n} events, "
-          f"{result.covariates.p} covariates, converged={result.converged}")
+          f"{result.covariates.p} covariates, converged=True")
     if result.covariates.p:
         gam = ", ".join(f"{g:.4g}" for g in result.params.gamma)
         print(f"gamma: [{gam}]")
@@ -348,13 +363,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "min_degree", None) is not None:
-        args.min_degree = float(args.min_degree)
     try:
+        # the parser reads the environment overrides, so it is built here
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (DataError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)

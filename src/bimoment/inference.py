@@ -3,19 +3,21 @@
 Everything here is read from one state computed once per fit: the
 predictor and structured Jacobian ``V`` that ``fit`` leaves at the
 estimate, and ``FitResult.inference_cache``, which keeps read-only, from
-their first request on, the profiled information ``H``, the coefficient
-covariance of each method asked for, the bias term ``b_star`` with the
-corrected coefficients, the node standard errors and the degree-vector
-variances ``u_diag`` and ``u_tail``.  Only these small results (p x p,
-or length m+n-1) are kept, never an m x n intermediate.
+their first request on, the profiled information ``H`` with the solve
+``X_C = V^{-1} C^T`` it is formed from, the coefficient covariance of
+each method asked for, the bias term ``b_star`` with the corrected
+coefficients, the node standard errors and the degree-vector variances
+``u_diag`` and ``u_tail``.  Only these small results (at most (m+n-1)
+x p) are kept, never an m x n intermediate.
 
 The module provides standard errors for the degree parameters, the
 coefficient covariance (Fisher or sandwich form), the analytic
 incidental-parameter bias of the coefficient estimate with its plug-in
-correction, and Wald-type tests.  The closed-form approximation to the
-inverse of the structured Jacobian (``approx_inverse``) lives in
-``bimoment.fitter``, which also uses it to precondition the Newton
-solves; it is importable from here as well.
+correction, and Wald-type tests.  ``score_terms`` returns the p x p
+score covariance ``sigma`` of the sandwich form.  The closed-form
+approximation to the inverse of the structured Jacobian
+(``approx_inverse``) lives in ``bimoment.fitter``, which also uses it to
+precondition the Newton solves; it is importable from here as well.
 
 Scaling conventions, fixed once here so they do not leak:  ``N = m*n``
 is the dyad count, ``H`` is the unscaled p x p information matrix of the
@@ -35,31 +37,23 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .data import plane_moments
-from .errors import ConfigError, FitError
+from .errors import ConfigError
 from .fitter import (
     FitResult,
     StructuredJacobian,
     approx_inverse,
     degree_sums,
     information_at,
-    mixed_moment_derivative,
 )
-
-
-def _require_converged(fit: FitResult):
-    if not fit.converged:
-        raise FitError("inference requires a converged fit")
 
 
 def _once_per_fit(compute):
     """Keep ``compute(fit, *args)`` in ``fit.inference_cache``: the first
-    request computes it, later ones read it.  Every request first
-    requires a converged fit (``FitError``); a failed computation is not
+    request computes it, later ones read it.  A failed computation is not
     kept."""
 
     @functools.wraps(compute)
     def cached(fit, *args):
-        _require_converged(fit)
         key = (compute.__name__, *args)
         cache = fit.inference_cache
         if key not in cache:
@@ -122,32 +116,21 @@ def node_standard_errors(fit: FitResult) -> NodeStandardErrors:
     return NodeStandardErrors(alpha=se[: fit.m], beta=se[fit.m :])
 
 
-@dataclass(frozen=True)
-class ScoreTermSet:
-    """Per-edge score directions and their accumulated covariance.
-
-    ``adjusted_covariates[i, j]`` is the covariate vector corrected for
-    the feedback of the edge through the degree equations; ``sigma`` is
-    ``sum_ij Var(x_ij) ztilde ztilde^T``.
-    """
-
-    adjusted_covariates: np.ndarray
-    sigma: np.ndarray
-
-
-def score_terms(fit: FitResult) -> ScoreTermSet:
-    """Assemble the score covariance with exact inverse applications.
-    ``ztilde`` is built as (p, m, n) planes, like ``CovariateTensor.planes``,
-    and ``sigma`` is their per-plane gram (``data.plane_moments``), exactly
+def score_terms(fit: FitResult) -> np.ndarray:
+    """The score covariance ``sigma = sum_ij Var(x_ij) ztilde_ij
+    ztilde_ij^T`` (p x p), where ``ztilde_ij = z_ij - X_C^T t_ij`` is the
+    covariate vector corrected for the feedback of edge (i, j) through
+    the degree equations (``t_ij`` selects the degree coordinates the
+    edge feeds).  ``X_C`` comes from the cached linearization; ``ztilde``
+    is built as (p, m, n) planes, like ``CovariateTensor.planes``, and
+    ``sigma`` is their per-plane gram (``data.plane_moments``), exactly
     symmetric."""
-    jac = fit.jacobian
     m = fit.m
-    c = mixed_moment_derivative(fit.covariates, jac.slopes)
-    k = jac.solve(c.T).T  # p x (m+n-1)
+    k = _linearization(fit)[1].T  # p x (m+n-1)
     ztilde = fit.covariates.planes - k[:, :m, None]
     ztilde[:, :, :-1] -= k[:, None, m:]
     _actor, _event, sigma = plane_moments(ztilde, fit.family.variance(fit.predictor))
-    return ScoreTermSet(adjusted_covariates=np.moveaxis(ztilde, 0, 2), sigma=sigma)
+    return sigma
 
 
 def coefficient_covariance(fit: FitResult, method: str = "fisher") -> np.ndarray:
@@ -162,15 +145,17 @@ def coefficient_covariance(fit: FitResult, method: str = "fisher") -> np.ndarray
 
 
 @_once_per_fit
-def _information_at_estimate(fit: FitResult) -> np.ndarray:
-    """The profiled information ``H`` (p x p) at the fit's own Jacobian."""
-    return _read_only(information_at(fit.jacobian, fit.covariates))
+def _linearization(fit: FitResult) -> tuple:
+    """``(H, X_C)`` at the fit's own Jacobian (``fitter.information_at``):
+    the profiled information (p x p) and ``V^{-1} C^T`` ((m+n-1) x p)."""
+    h, x_c = information_at(fit.jacobian, fit.covariates)
+    return _read_only(h), _read_only(x_c)
 
 
 @_once_per_fit
 def _covariance(fit: FitResult, method: str) -> np.ndarray:
     """``coefficient_covariance`` from the fit's information ``H``."""
-    h = _information_at_estimate(fit)
+    h = _linearization(fit)[0]
     if method not in ("fisher", "sandwich"):
         raise ConfigError(f"unknown covariance method {method!r}")
     if fit.covariates.p == 0:
@@ -179,7 +164,7 @@ def _covariance(fit: FitResult, method: str) -> np.ndarray:
     if method == "fisher":
         cov = h_inv
     else:
-        cov = h_inv @ score_terms(fit).sigma @ h_inv
+        cov = h_inv @ score_terms(fit) @ h_inv
     return _read_only(0.5 * (cov + cov.T))
 
 
@@ -219,7 +204,6 @@ def incidental_bias_expfam(fit: FitResult, use_approx: bool = False) -> np.ndarr
     which turns each event (and actor) contribution into a ratio of
     curvature to slope totals, the form the asymptotics are stated in.
     """
-    _require_converged(fit)
     if not fit.family.exponential_family:
         raise ConfigError("exponential-family bias form needs an exponential family")
     if fit.covariates.p == 0:
@@ -242,7 +226,6 @@ def incidental_bias_general(fit: FitResult) -> np.ndarray:
     function), which reduces to the exponential-family form when ``U =
     V``.  Dense at desk scale.
     """
-    _require_converged(fit)
     if fit.covariates.p == 0:
         return np.zeros(0)
     jac = fit.jacobian
@@ -290,7 +273,7 @@ def _bias_correction(fit: FitResult) -> tuple:
         b_star = incidental_bias_expfam(fit)
     else:
         b_star = incidental_bias_general(fit)
-    h_bar = _information_at_estimate(fit) / fit.n_edges
+    h_bar = _linearization(fit)[0] / fit.n_edges
     gamma_bc = bias_corrected_coefficients(fit, b_star, h_bar)
     return _read_only(b_star), _read_only(gamma_bc)
 
@@ -573,7 +556,6 @@ def report_rows(
     """Full inference report: every free parameter plus (optionally)
     bias-corrected coefficients, each with estimate, SE, Wald statistic
     against zero, p-value, and confidence bounds."""
-    _require_converged(fit)
     zcrit = float(ndtri(0.5 * (1.0 + level)))
     node_se = node_standard_errors(fit)
     names = [f"alpha:{i + 1}" for i in range(fit.m)]

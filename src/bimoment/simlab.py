@@ -204,8 +204,6 @@ def run_replication(scenario: Scenario, replication: int) -> ReplicationRecord:
         result = fit(graph, covariates, family, FitOptions())
     except (FitError, IllPosedError):
         return ReplicationRecord(replication=replication, converged=False)
-    if not result.converged:
-        return ReplicationRecord(replication=replication, converged=False)
     return _score_replication(scenario, replication, truth, result)
 
 

@@ -168,25 +168,6 @@ class TestFitCommand:
                    "--out-dir", str(tmp_path / "out")])
         assert rc == EXIT_ILL_POSED
 
-    def test_unconverged_inference_exit_code(self, tmp_path, monkeypatch, capsys):
-        # inference asked of an unconverged fit is a fitting failure
-        real_fit = cli.fit
-
-        def unconverged_fit(*args, **kwargs):
-            result = real_fit(*args, **kwargs)
-            object.__setattr__(result, "converged", False)
-            return result
-
-        monkeypatch.setattr(cli, "fit", unconverged_fit)
-        edges = tmp_path / "edges.tsv"
-        edges.write_text("u1\tm1\t2\nu1\tm2\t1\nu2\tm1\t1\nu2\tm2\t3\n")
-        rc = main(["fit", str(edges), "--count-mode", "--family", "poisson",
-                   "--out-dir", str(tmp_path / "out")])
-        assert rc == EXIT_NONEXISTENT
-        err = capsys.readouterr().err
-        assert "converged fit" in err
-        assert "Traceback" not in err
-
     def test_one_linearization_at_the_estimate(self, fixture_dir, tmp_path, monkeypatch):
         # the estimate's Jacobian is built once, by fit, and every output
         # (report, sidecar, components) reads the same inference state
@@ -552,6 +533,43 @@ class TestEnvironmentOverrides:
         assert rc == EXIT_OK
         sidecar = json.loads((tmp_path / "out" / "fit.json").read_text())
         assert sidecar["m"] == 2 and sidecar["n"] == 2
+
+    def test_numeric_environment_default_is_converted(self, monkeypatch):
+        monkeypatch.setenv("BIMOMENT_MIN_DEGREE", "40")
+        args = cli.build_parser().parse_args(["fit", "edges.tsv"])
+        assert args.min_degree == 40.0 and isinstance(args.min_degree, float)
+
+    @pytest.mark.parametrize("value, expected", [
+        ("1", True), ("TRUE", True), ("Yes", True), (" on ", True),
+        ("0", False), ("false", False), ("NO", False), ("Off", False),
+    ])
+    def test_boolean_environment_values(self, monkeypatch, value, expected):
+        monkeypatch.setenv("BIMOMENT_BIAS_CORRECT", value)
+        args = cli.build_parser().parse_args(["fit", "edges.tsv"])
+        assert args.bias_correct is expected
+
+    @pytest.mark.parametrize("variable, value", [
+        ("BIMOMENT_BIAS_CORRECT", "ture"),
+        ("BIMOMENT_BIAS_CORRECT", ""),
+        ("BIMOMENT_BINARIZE", "2"),
+        ("BIMOMENT_COUNT_MODE", "y"),
+        ("BIMOMENT_SUM_DUPLICATES", "enabled"),
+        ("BIMOMENT_PERMISSIVE", "nein"),
+    ])
+    def test_malformed_boolean_environment_is_usage_error(
+        self, tmp_path, monkeypatch, capsys, variable, value
+    ):
+        edges = tmp_path / "edges.tsv"
+        edges.write_text("u1\tm1\nu1\tm2\nu2\tm2\nu2\tm3\nu3\tm1\nu3\tm3\n")
+        out = tmp_path / "out"
+        monkeypatch.setenv(variable, value)
+        rc = main(["fit", str(edges), "--out-dir", str(out)])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {variable} must be one of")
+        assert repr(value) in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("variable, argv", [
         ("BIMOMENT_TOL", ["fit", "edges.tsv"]),
