@@ -10,12 +10,13 @@ All containers are immutable after construction and safe to share.
 
 from __future__ import annotations
 
+import math
 import numbers
 import operator
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import compress, count, repeat
+from itertools import count
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -219,13 +220,18 @@ def degrees(graph: BipartiteGraph) -> DegreeVector:
     return DegreeVector(d=graph.weights.sum(axis=1), b=graph.weights.sum(axis=0))
 
 
-# Characters of text parsed at a time (about 5k lines of a ratings file):
-# enough lines that the column-wise passes amortize, few enough that the
-# block's strings and token lists stay small next to the graph itself.
-_BLOCK_CHARS = 1 << 16
+# Characters of text parsed at a time (about 44k lines of a ratings file).
+# Each block decodes and looks up each of its distinct ids once, and a
+# ratings block repeats most of the event ids, so blocks are large.  Their
+# arrays peak at about 210 bytes per line of a ratings file (9 MB), below
+# the accepted edges' final concatenation.
+_BLOCK_CHARS = 1 << 19
 
 # The first check a line fails, in the order the checks apply (0 = none).
 _COLUMNS, _EMPTY_ID, _BAD_WEIGHT, _OUT_OF_RANGE, _NOT_BINARY = 1, 2, 3, 4, 5
+
+# _PREFIX[k] keeps the first k bytes of a big-endian 8-byte word (k = 0..8).
+_PREFIX = np.array([(1 << 64) - (1 << (64 - 8 * k)) for k in range(9)], np.uint64)
 
 
 def _line_blocks(fh):
@@ -249,70 +255,149 @@ def _line_blocks(fh):
     yield first_line, "".join(pending)
 
 
-def _float_or_none(text):
+_ALL = slice(None)
+
+
+def _width_classes(lengths: np.ndarray) -> list:
+    """``(c, tokens)`` for each width class ``c`` among the token lengths:
+    ``c`` is the bit length of ``length // 8``, so a key of ``2**c`` words
+    holds the token.  ``tokens`` indexes the class's tokens, or is ``_ALL``
+    when one class holds them all, as it does for the ids of most files."""
+    lo, hi = (math.frexp(int(x) >> 3)[1] for x in (lengths.min(), lengths.max()))
+    if lo == hi:
+        return [(lo, _ALL)]
+    size = np.frexp(lengths >> 3)[1]
+    return [(c, np.flatnonzero(size == c)) for c in np.flatnonzero(np.bincount(size))]
+
+
+class _Tokens:
+    """The distinct byte strings among some tokens of a block, found with
+    no Python work per token.
+
+    Token ``t`` is ``buf[starts[t]:ends[t]]``, and ``buf`` ends in 8 zero
+    bytes.  Each token is keyed by big-endian 8-byte words of an unaligned
+    view of ``buf`` and by its length (an id may end in NUL bytes).  Under
+    8 bytes, the key is the first word masked to the length, with the
+    length in the last byte, which the mask clears.  A longer token's key
+    is a row of the length and the words at 8-byte steps, the last ones
+    moved back to end with the token, in a width class of ``2**c`` words,
+    so no row is much longer than its token.  Each class is sorted once,
+    short keys as they are and rows by an integer hash, and each run of
+    equal keys in sorted order is a group (different rows that share a
+    hash can only split a group).
+
+    ``order`` lists the tokens group by group, ``heads`` where each group
+    begins in it, ``inverse`` the group of each token and ``texts`` each
+    group's decoded text.
+    """
+
+    def __init__(self, buf: bytes, starts: np.ndarray, ends: np.ndarray):
+        words = np.ndarray((len(buf) - 7,), ">u8", buffer=buf, strides=(1,))
+        lengths = ends - starts
+        orders, news = [], []
+        for c, tokens in _width_classes(lengths):
+            start, length = starts[tokens], lengths[tokens]
+            if c == 0:
+                keys = (words[start] & _PREFIX[length]) | length.astype(np.uint64)
+                order = np.argsort(keys)
+                keys = keys[:, None]
+            else:
+                last_word = (start + length - 8)[:, None]
+                at = np.minimum(start[:, None] + 8 * np.arange(1 << c), last_word)
+                keys = np.empty((start.size, 1 + (1 << c)), np.uint64)
+                keys[:, 0] = length
+                keys[:, 1:] = words[at]
+                del at      # before the sort's copies
+                # odd multipliers, so rows that differ in one word never collide
+                order = np.argsort(keys @ (np.arange(1, 2 * keys.shape[1], 2, np.uint64)
+                                           * np.uint64(0x9E3779B97F4A7C15)))
+            keys = keys[order]
+            orders.append(order if tokens is _ALL else tokens[order])
+            news.append(np.append(True, (keys[1:] != keys[:-1]).any(axis=1)))
+        self.order, new = np.concatenate(orders), np.concatenate(news)
+        self.heads = np.flatnonzero(new)
+        self.inverse = np.empty_like(self.order)
+        self.inverse[self.order] = np.repeat(
+            np.arange(self.heads.size), np.diff(self.heads, append=new.size)
+        )
+        # no token holds a newline, so one decode and one split give them all
+        first = self.order[self.heads]
+        self.texts = b"\n".join(
+            map(buf.__getitem__, map(slice, starts[first].tolist(), ends[first].tolist()))
+        ).decode().split("\n")
+
+    def enter(self, index: defaultdict, labels: list, kept: np.ndarray) -> np.ndarray:
+        """Positions in ``index`` of the labels of the ``kept`` tokens, where
+        group ``g``'s label is ``labels[g]``.  The default factory of
+        ``index`` numbers unseen labels; they enter in order of first
+        appearance among the kept tokens."""
+        n = kept.size
+        first = np.minimum.reduceat(np.where(kept[self.order], self.order, n), self.heads)
+        seen = np.flatnonzero(first < n)
+        seen = seen[np.argsort(first[seen])]
+        position = np.zeros(len(labels), np.intp)
+        position[seen] = list(map(index.__getitem__, map(labels.__getitem__, seen.tolist())))
+        return position[self.inverse[kept]]
+
+
+def _weight(text) -> tuple:
+    """``(weight, parsed)`` of a weight token; a blank one means 1."""
+    if not text.strip():
+        return 1.0, True
     try:
-        return float(text)
+        return float(text), True
     except ValueError:
-        return None
+        return math.nan, False
 
 
-def _floats(texts) -> tuple:
-    """``float`` of each string, and the mask of those it accepts (the
-    others read nan)."""
-    try:
-        return np.fromiter(map(float, texts), float, len(texts)), np.ones(len(texts), bool)
-    except ValueError:
-        values = list(map(_float_or_none, texts))
-        parsed = np.fromiter(map(operator.is_not, values, repeat(None)), bool, len(values))
-        return np.array(values, dtype=float), parsed
-
-
-def _parse_block(text, delimiter, mode, binarize, strict) -> tuple:
+def _parse_block(text, delimiter, mode, binarize, strict, actor_index, event_index) -> tuple:
     """Check and parse the lines of one block, column-wise.
 
-    Returns ``(lines, actors, events, weights, fault)``: the block-relative
+    Returns ``(lines, rows, cols, weights, fault)``: the block-relative
     indices of the accepted lines before the block's first faulty line,
-    their stripped ids and their weights, and ``(index, message)`` for
-    that faulty line (None when the block has none).  In permissive mode
-    the lines it skips are neither accepted nor faulty.
+    the positions of their stripped ids in ``actor_index`` and
+    ``event_index`` (which gain the unseen ones), their weights, and
+    ``(index, message)`` for that faulty line (None when the block has
+    none).  In permissive mode the lines it skips are neither accepted nor
+    faulty.
     """
-    n_lines = text.count("\n") + 1
-    if "\n" not in delimiter:
-        # universal-newline reading leaves no "\r" in the text, so "\r" can
-        # stand for the delimiter: a line has one column more than "\r"s,
-        # and each "\r" lies on the line of the newlines before it
-        marks = np.frombuffer(text.replace(delimiter, "\r").encode(), np.uint8)
-        line_of = np.searchsorted(
-            np.flatnonzero(marks == ord("\n")), np.flatnonzero(marks == ord("\r"))
-        )
-        ncols = np.bincount(line_of, minlength=n_lines) + 1
-    else:
-        ncols = np.ones(n_lines, np.intp)     # no line can be split
+    # universal-newline reading leaves no "\r" in the text, so "\r" can stand
+    # for the delimiter; a delimiter with a newline splits no line
+    buf = (text if "\n" in delimiter else text.replace(delimiter, "\r")).encode() + bytes(8)
+    marks = np.frombuffer(buf, np.uint8)[:-8]
+    ends = np.flatnonzero((marks == ord("\n")) | (marks == ord("\r")))
+    last = np.append(np.flatnonzero(marks[ends] == ord("\n")), ends.size)
+    ends = np.append(ends, marks.size)              # token t is buf[starts[t]:ends[t]]
+    starts = np.append(0, ends[:-1] + 1)
+    first = np.append(0, last[:-1] + 1)             # each line's first token
+    ncols = last - first + 1
+    n_lines = ncols.size
     unsure = ncols < 2                          # lines that may be blank
     fault = np.where(unsure, _COLUMNS, 0)
     cand = np.flatnonzero(~unsure)              # lines with both ids
-    actors, events, w = [], [], np.ones(cand.size)
+    rows = cols = np.zeros(0, np.intp)
+    w = np.ones(cand.size)
     if cand.size:
-        # a delimiter never spans a newline, so each line's tokens are
-        # ncols consecutive tokens of the whole block
-        tokens = np.array(text.replace(delimiter, "\n").split("\n"), dtype=object)
-        first = (np.cumsum(ncols) - ncols)[cand]
-        actors = list(map(str.strip, tokens[first]))
-        events = list(map(str.strip, tokens[first + 1]))
+        fc = first[cand]
+        actor_ends = ends[fc]
+        actors = _Tokens(buf, starts[fc], actor_ends)
+        events = _Tokens(buf, actor_ends + 1, ends[fc + 1])    # after one separator
+        actor_labels = list(map(str.strip, actors.texts))
+        event_labels = list(map(str.strip, events.texts))
         no_actor, no_event = (
-            np.fromiter(map(operator.not_, ids), bool, cand.size)
-            if "" in ids else np.zeros(cand.size, bool)
-            for ids in (actors, events)
+            np.array(list(map(operator.not_, labels)), bool)[ids.inverse]
+            if "" in labels else np.zeros(cand.size, bool)
+            for labels, ids in ((actor_labels, actors), (event_labels, events))
         )
         unsure[cand] = no_actor & no_event      # a line with an id is not blank
-        given = ncols[cand] >= 3                # a blank weight column means 1
-        given[given] = np.fromiter(
-            map(bool, map(str.strip, tokens[first[given] + 2])), bool, given.sum()
-        )
-        values, parsed = _floats(tokens[first[given] + 2])
-        w[given] = values
+        has_weight = np.flatnonzero(ncols[cand] >= 3)
         bad_weight = np.zeros(cand.size, bool)
-        bad_weight[given] = ~parsed
+        if has_weight.size:
+            tokens = fc[has_weight] + 2
+            weights = _Tokens(buf, starts[tokens], ends[tokens])
+            values, parsed = map(np.array, zip(*map(_weight, weights.texts)))
+            w[has_weight] = values[weights.inverse]
+            bad_weight[has_weight] = ~parsed[weights.inverse]
         if binarize:
             w = np.where(w > 0, 1.0, 0.0)
         fault[cand] = np.select(
@@ -327,18 +412,19 @@ def _parse_block(text, delimiter, mode, binarize, strict) -> tuple:
         )
     blank = np.zeros(n_lines, bool)
     if unsure.any():
-        blank[unsure] = np.fromiter(
-            map(operator.not_, map(str.strip, compress(text.split("\n"), unsure))),
-            bool,
-            unsure.sum(),
-        )
+        lines = np.flatnonzero(unsure)
+        blank[lines] = [
+            not buf[a:b].decode().replace("\r", delimiter).strip()
+            for a, b in zip(starts[first[lines]].tolist(), ends[last[lines]].tolist())
+        ]
         fault[blank] = 0
     raises = fault >= (_COLUMNS if strict else _OUT_OF_RANGE)
     stop = int(np.argmax(raises)) if raises.any() else n_lines
     keep = (fault[cand] == 0) & ~blank[cand] & (cand < stop)
-    if not keep.all():
-        actors, events = list(compress(actors, keep)), list(compress(events, keep))
-    accepted = (cand[keep], actors, events, w[keep])
+    if cand.size:
+        rows = actors.enter(actor_index, actor_labels, keep)
+        cols = events.enter(event_index, event_labels, keep)
+    accepted = (cand[keep], rows, cols, w[keep])
     if stop == n_lines:
         return accepted + (None,)
     k = np.searchsorted(cand, stop)
@@ -347,18 +433,13 @@ def _parse_block(text, delimiter, mode, binarize, strict) -> tuple:
     elif fault[stop] == _EMPTY_ID:
         message = "empty node id"
     elif fault[stop] == _BAD_WEIGHT:
-        message = f"bad weight {tokens[first[k] + 2]!r}"
+        token = weights.inverse[np.searchsorted(has_weight, k)]
+        message = f"bad weight {weights.texts[token]!r}"
     elif fault[stop] == _OUT_OF_RANGE:
         message = f"weight {float(w[k])!r} out of range"
     else:
         message = f"weight {float(w[k]):g} invalid for binary mode"
     return accepted + ((stop, message),)
-
-
-def _indices(index: defaultdict, labels: list) -> np.ndarray:
-    """Positions of ``labels`` in ``index``, whose default factory numbers
-    each unseen label in order of first appearance."""
-    return np.fromiter(map(index.__getitem__, labels), np.intp, len(labels))
 
 
 def _check_delimiter(delimiter: str):
@@ -410,7 +491,11 @@ def load_edge_list(
 
     The file is parsed column-wise in blocks of about ``_BLOCK_CHARS``
     characters of whole lines, so the memory used beyond the accepted
-    edges and the weight matrix is bounded per block.  When the file has
+    edges and the weight matrix is bounded per block.  No Python code runs
+    per token: the equal tokens of a column are grouped by numpy sorts on
+    their bytes, and each distinct token is decoded, stripped, checked and
+    looked up once per block, so ids and weights keep the exact semantics
+    of ``str.strip`` and ``float``.  When the file has
     several faults, the one on the earliest line is raised, with that
     line's number.  A file that is not valid UTF-8 raises ``DataError``
     when the block holding its first bad byte is read.
@@ -425,15 +510,10 @@ def load_edge_list(
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for first_line, text in _line_blocks(fh):
-                lines, actors, events, w, fault = _parse_block(
-                    text, delimiter, mode, binarize, strict
+                lines, rows, cols, w, fault = _parse_block(
+                    text, delimiter, mode, binarize, strict, actor_index, event_index
                 )
-                accepted.append((
-                    _indices(actor_index, actors),
-                    _indices(event_index, events),
-                    w,
-                    first_line + lines,
-                ))
+                accepted.append((rows, cols, w, first_line + lines))
                 if fault is not None:
                     break
     except UnicodeDecodeError:
@@ -469,10 +549,12 @@ def load_edge_list(
 
 def save_edge_list(graph: BipartiteGraph, path, delimiter: str = "\t"):
     """Write the graph's nonzero cells as an edge list (round-trips with
-    :func:`load_edge_list` for graphs without isolated nodes)."""
+    :func:`load_edge_list` for graphs without isolated nodes).  Weights
+    are written with 17 significant digits, which ``float`` reads back
+    exactly; an integral weight below 1e17 is written as an integer."""
     rows, cols = np.nonzero(graph.weights)
     text = "".join(
-        f"{graph.actor_labels[i]}{delimiter}{graph.event_labels[j]}{delimiter}{w:.12g}\n"
+        f"{graph.actor_labels[i]}{delimiter}{graph.event_labels[j]}{delimiter}{w:.17g}\n"
         for i, j, w in zip(rows.tolist(), cols.tolist(), graph.weights[rows, cols].tolist())
     )
     with open(path, "w", encoding="utf-8") as fh:

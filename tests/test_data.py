@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -123,7 +124,7 @@ def reference_save_edge_list(graph, path, delimiter="\t"):
             w = graph.weights[i, j]
             fh.write(
                 f"{graph.actor_labels[i]}{delimiter}{graph.event_labels[j]}"
-                f"{delimiter}{w:.12g}\n"
+                f"{delimiter}{w:.17g}\n"
             )
 
 
@@ -138,21 +139,37 @@ def load_outcome(load, path, **options):
 
 
 EDGE_LABELS = ("a", "b", "c", " a", "b ", " c ", "a:", "", " ")
-EDGE_WEIGHTS = ("1", "0", "2.5", " 3 ", "-1", "x", " x ", "inf", "nan", "1e3", "")
+# ids that only byte-exact token keys tell apart: longer than 8 and 16
+# bytes with shared first and last 8 bytes, multi-byte UTF-8, padding
+# that str.strip removes (NBSP, EM SPACE, IDEOGRAPHIC SPACE, NEL), NUL
+# bytes and a last byte from 0x01 to 0x08
+KEYED_LABELS = (
+    "abcdefgh", "abcdefgh1", "abcdefgh12", "abcdefgh\x00",
+    "abcdefgh1stuvwxyz", "abcdefgh2stuvwxyz", "abcdefgh12stuvwxyz",
+    "x" * 40, "x" * 20 + "y" + "x" * 19,
+    "é", "中", "éé", "é" * 9, "中a中",
+    "\u00a0a", "a\u2003", "\u3000a\u3000", "\u0085a", "\u00a0",
+    "\x00", "a\x00", "a\x00\x00", "a\x00b", "abcdef", "abcdef\x07",
+    "abcdefg", "abcdefg\x01", "abcdefg\x08",
+    # their length-16 key rows share a hash, so only the rows tell them apart
+    "aaaaaaaabbbbbbbb", "aaaaaaahbbbbbbba",
+)
+EDGE_WEIGHTS = ("1", "0", "2.5", " 3 ", "-1", "x", " x ", "inf", "nan", "1e3", "",
+                "3", "3 ", "\u00a03", "3\u3000", "\u2003", "3\x00")
 BLANK_LINES = ("", "  ", "\t", " \t ")
 
 
 @st.composite
 def edge_files(draw):
     """``(text, delimiter)`` of a small edge list with rows of 1 to 5
-    columns, blank lines, padded and empty ids and mixed line endings."""
-    delimiter = draw(st.sampled_from(("\t", ",", "::")))
+    columns, blank lines, padded, empty, long, non-ASCII and NUL-bearing
+    ids, and mixed line endings."""
+    delimiter = draw(st.sampled_from(("\t", ",", "::", "→", "é")))
+    label = st.sampled_from(EDGE_LABELS) | st.sampled_from(KEYED_LABELS)
     row = st.tuples(
-        st.sampled_from(EDGE_LABELS),
-        st.sampled_from(EDGE_LABELS),
-        st.lists(st.sampled_from(EDGE_WEIGHTS), max_size=3),
+        label, label, st.lists(st.sampled_from(EDGE_WEIGHTS), max_size=3),
     ).map(lambda r: delimiter.join((r[0], r[1], *r[2])))
-    other = st.sampled_from(EDGE_LABELS + BLANK_LINES)     # one column or blank
+    other = label | st.sampled_from(BLANK_LINES)     # one column or blank
     lines = draw(st.lists(st.one_of(row, row, row, other), min_size=1, max_size=12))
     endings = [draw(st.sampled_from(("\n", "\r\n", "\r"))) for _ in lines]
     text = "".join(line + end for line, end in zip(lines, endings))
@@ -283,6 +300,12 @@ class TestEdgeListIO:
         graph = load_edge_list(path, strict=False)
         assert graph.total_weight == 2.0
 
+    def test_round_trip_keeps_every_digit(self, tmp_path):
+        w = np.array([[1 / 3, 0.1], [1e-300, 123456789.123]])
+        save_edge_list(graph_from(w), tmp_path / "edges.tsv")
+        graph = load_edge_list(tmp_path / "edges.tsv", mode="count")
+        assert graph.weights.tobytes() == w.tobytes()
+
     def test_round_trip(self, tmp_path, rng):
         # load -> save -> load reproduces weights and labels exactly
         w = (rng.random((6, 5)) < 0.6).astype(float)
@@ -309,14 +332,14 @@ class TestEdgeListIO:
 class TestEdgeListParity:
     """``load_edge_list`` against the line-by-line reader it replaced."""
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=500, deadline=None)
     @given(
         edge_files(),
         st.sampled_from(("binary", "count")),
         st.booleans(),
         st.booleans(),
         st.booleans(),
-        st.sampled_from((1, 2, 3, 5, 8, 1 << 16)),
+        st.sampled_from((1, 2, 3, 5, 8, 1 << 16, data._BLOCK_CHARS)),
     )
     @example(("u\tm\t x \r\n", "\t"), "count", False, False, True, 1 << 16)
     def test_matches_line_by_line_reader(
@@ -339,13 +362,46 @@ class TestEdgeListParity:
         lines = [f"u{i}\tm{i}" for i in range(12000)]
         for index, line in faults.items():
             lines[index] = line
-        assert sum(len(line) + 1 for line in lines[:8000]) > data._BLOCK_CHARS
         path = tmp_path / "long.tsv"
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(DataError) as exc:
-            load_edge_list(path)
+        # blocks of 64 Ki characters, so the faults lie past the first one
+        with mock.patch.object(data, "_BLOCK_CHARS", 1 << 16):
+            assert sum(len(line) + 1 for line in lines[:8000]) > data._BLOCK_CHARS
+            with pytest.raises(DataError) as exc:
+                load_edge_list(path)
         assert str(exc.value) == expected
         assert load_outcome(reference_load_edge_list, path) == (DataError, expected)
+
+    def test_tokens_whose_key_rows_share_a_hash_stay_apart(self):
+        # a 16-byte token's key row is (16, w0, w1, w1, w1), w1 its last 8
+        # bytes, hashed as sum((2j + 1) * row[j]) times an odd constant, so
+        # w0 + 7 and w1 - 1 leave the hash as it is
+        ids = ["aaaaaaaabbbbbbbb", "aaaaaaahbbbbbbba"] * 3
+        buf = "\n".join(ids).encode() + bytes(8)
+        starts = 17 * np.arange(len(ids))
+        tokens = data._Tokens(buf, starts, starts + 16)
+        assert [tokens.texts[g] for g in tokens.inverse] == ids
+
+    def test_long_ids_keep_memory_bounded_by_the_file(self, tmp_path):
+        # a 1 MB id, twice, among 50k short lines: a key costs at most twice
+        # its token, never a copy of the longest id per token of the block
+        big = "x" * 500_000 + "é" * 250_000
+        lines = [f"u{i % 500}\tm{i // 500}" for i in range(50_000)]
+        lines[10_000], lines[40_000] = f"{big}\tm0", f"u0\t{big}"
+        path = tmp_path / "long_ids.tsv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        tracemalloc.start()
+        try:
+            graph = load_edge_list(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert big in graph.actor_labels and big in graph.event_labels
+        assert load_outcome(reference_load_edge_list, path) == (
+            graph.actor_labels, graph.event_labels, graph.weights.shape,
+            graph.weights.tobytes(),
+        )
+        assert peak < 6 * path.stat().st_size
 
     def test_negative_zero_weights_keep_their_sign(self, tmp_path):
         path = tmp_path / "zeros.tsv"
