@@ -39,13 +39,7 @@ from .fitter import (
     ParameterSet,
     StructuredJacobian,
     approx_inverse,
-    build_jacobian,
-    covariate_residuals,
-    degree_residuals,
     fit,
-    profile_jacobian,
-    profiled_residuals,
-    solve_degree_params,
 )
 from .inference import (
     Contrast,

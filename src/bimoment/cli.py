@@ -17,15 +17,17 @@ formatting: re-running a command reproduces them byte for byte.
 
 ``fit`` solves to ``--tol`` within ``--max-iter`` Newton steps, whose
 defaults are those of ``FitOptions`` (1e-8 and 50).  It writes
-``trace.tsv`` with one row per step of the joint Newton
-solver (one ``IterationRecord`` each): ``outer_iteration`` is the step
-index, 0 for the starting point; ``inner_iterations`` is the number of
-step halvings the step needed; ``degree_norm`` and ``covariate_norm``
-are the sup norms of the degree and covariate residuals after the step;
-``linear_iterations`` is the number of preconditioned conjugate-gradient
-iterations of the step's degree solve, 0 for the starting point and for
-a step that factored the Schur complement instead (node sets where
-min(m, n-1) is below ``fitter.PCG_MIN_KEPT``).
+``trace.tsv`` with one row per step of the joint Newton solver (one
+``IterationRecord`` each): ``step`` is the step index, 0 for the
+starting point; ``halvings`` is the number of step halvings the step
+needed; ``degree_norm`` and ``covariate_norm`` are the sup norms of the
+degree and covariate residuals after the step; ``linear_iterations`` is
+the number of preconditioned conjugate-gradient iterations of the step's
+degree solve, 0 for the starting point and for a step that factored the
+Schur complement instead (node sets where min(m, n-1) is below
+``fitter.PCG_MIN_KEPT``).  ``fit`` writes only converged estimates, so
+``fit.json`` carries no convergence flag; ``test`` still reads a
+``fit.json`` written with the former ``"converged": true`` key.
 
 Exit codes: 0 success, 2 config/parse error (including an input file
 that is not valid UTF-8, an empty delimiter, a ``--tol`` that is not
@@ -211,8 +213,7 @@ def cmd_fit(args) -> int:
         pinned_note=f"beta:{graph.n} ({graph.event_labels[-1]}) pinned to 0",
     )
     with open(out_dir / "trace.tsv", "w", encoding="utf-8") as fh:
-        fh.write("outer_iteration\tinner_iterations\tdegree_norm\tcovariate_norm"
-                 "\tlinear_iterations\n")
+        fh.write("step\thalvings\tdegree_norm\tcovariate_norm\tlinear_iterations\n")
         for rec in result.trace:
             fh.write(
                 f"{rec.outer_iteration}\t{rec.inner_iterations}\t"
@@ -224,7 +225,6 @@ def cmd_fit(args) -> int:
         **components_from_fit(result, method=args.method).to_json(),
         "family": family.name,
         "p": result.covariates.p,
-        "converged": True,  # fit returns only converged estimates; the key stays
         "actor_labels": list(graph.actor_labels),
         "event_labels": list(graph.event_labels),
         "covariate_names": list(result.covariates.names),
@@ -244,7 +244,7 @@ def cmd_fit(args) -> int:
 
     _write_manifest(out_dir, "fit", vars(args), inputs, None, started)
     print(f"fit: {result.m} actors x {result.n} events, "
-          f"{result.covariates.p} covariates, converged=True")
+          f"{result.covariates.p} covariates")
     if result.covariates.p:
         gam = ", ".join(f"{g:.4g}" for g in result.params.gamma)
         print(f"gamma: [{gam}]")

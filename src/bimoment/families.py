@@ -2,12 +2,10 @@
 
 Each family models the conditional distribution of an edge weight given
 its linear predictor ``eta = alpha_i + beta_j + z_ij @ gamma`` and
-exposes everything the fitter and the inference formulas need: the mean
-function, its first three derivatives (the first also from an already
-computed mean), the variance function, a reproducible sampler, and a
-log density.  The log density exists only
-for the likelihood oracle used in tests; the production fitter solves
-moment equations and never touches it.
+exposes what the fitter and the inference formulas need: the mean
+function, its first two derivatives (the first also from an already
+computed mean), the variance function and a reproducible sampler.  The
+estimator solves moment equations, so no family computes a likelihood.
 
 Families are stateless and immutable; sampler randomness lives entirely
 in the caller-supplied ``numpy.random.Generator``.
@@ -18,7 +16,6 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import ConfigError, DomainError
 
@@ -37,13 +34,6 @@ def _as_finite_array(eta) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise DomainError("linear predictor contains non-finite values")
     return arr
-
-
-def _like(eta, out: np.ndarray):
-    """Return a float for scalar input, an array otherwise."""
-    if np.isscalar(eta) or getattr(eta, "ndim", 1) == 0:
-        return float(out)
-    return out
 
 
 class ModelFamily(ABC):
@@ -78,20 +68,12 @@ class ModelFamily(ABC):
         """Second derivative of the mean function."""
 
     @abstractmethod
-    def mean_d3(self, eta):
-        """Third derivative of the mean function."""
-
-    @abstractmethod
     def variance(self, eta):
         """Edge-weight variance at predictor ``eta``."""
 
     @abstractmethod
     def sample(self, eta, rng: np.random.Generator):
         """Draw edge weights at ``eta`` using the supplied generator."""
-
-    @abstractmethod
-    def log_density(self, x, eta):
-        """Log probability (mass) of weight ``x`` at predictor ``eta``."""
 
     def __repr__(self):
         return f"{type(self).__name__}()"
@@ -100,8 +82,8 @@ class ModelFamily(ABC):
 class LogisticFamily(ModelFamily):
     """Bernoulli edges with logit link: mean ``e^eta / (1 + e^eta)``.
 
-    All three mean derivatives are bounded by 1/4 in absolute value,
-    which the property tests pin down.
+    Both mean derivatives are bounded by 1/4 in absolute value, which the
+    property tests pin down.
     """
 
     name = "logistic"
@@ -113,46 +95,32 @@ class LogisticFamily(ModelFamily):
         return 1.0 / (1.0 + np.exp(-x))
 
     def mean(self, eta):
-        return _like(eta, self._mu(eta))
+        return self._mu(eta)
 
     def mean_d1(self, eta):
         mu = self._mu(eta)
-        return _like(eta, mu * (1.0 - mu))
+        return mu * (1.0 - mu)
 
     def mean_d1_given_mean(self, eta, mu):
-        return _like(eta, mu * (1.0 - mu))
+        return mu * (1.0 - mu)
 
     def mean_d2(self, eta):
         mu = self._mu(eta)
-        return _like(eta, mu * (1.0 - mu) * (1.0 - 2.0 * mu))
-
-    def mean_d3(self, eta):
-        mu = self._mu(eta)
-        return _like(eta, mu * (1.0 - mu) * (1.0 - 6.0 * mu + 6.0 * mu * mu))
+        return mu * (1.0 - mu) * (1.0 - 2.0 * mu)
 
     def variance(self, eta):
         mu = self._mu(eta)
-        return _like(eta, mu * (1.0 - mu))
+        return mu * (1.0 - mu)
 
     def sample(self, eta, rng):
         mu = self._mu(eta)
-        draw = (rng.random(size=np.shape(mu)) < mu).astype(float)
-        return _like(eta, draw)
-
-    def log_density(self, x, eta):
-        xa = np.asarray(x, dtype=float)
-        if not np.all((xa == 0.0) | (xa == 1.0)):
-            raise DomainError("logistic weights must be 0 or 1")
-        h = np.clip(_as_finite_array(eta), -LOGISTIC_ETA_CAP, LOGISTIC_ETA_CAP)
-        # log mu = -log1p(e^-eta), log(1-mu) = -log1p(e^eta)
-        out = -(xa * np.log1p(np.exp(-h)) + (1.0 - xa) * np.log1p(np.exp(h)))
-        return _like(x, out)
+        return (rng.random(size=np.shape(mu)) < mu).astype(float)
 
 
 class PoissonFamily(ModelFamily):
     """Poisson edge counts with log link: mean ``e^eta``.
 
-    Mean, variance and all derivatives coincide at ``e^eta``.  Rejects
+    Mean, variance and both derivatives coincide at ``e^eta``.  Rejects
     ``eta > 30`` with a domain error rather than overflowing silently.
     """
 
@@ -170,35 +138,22 @@ class PoissonFamily(ModelFamily):
         return np.exp(x)
 
     def mean(self, eta):
-        return _like(eta, self._lam(eta))
+        return self._lam(eta)
 
     def mean_d1(self, eta):
-        return _like(eta, self._lam(eta))
+        return self._lam(eta)
 
     def mean_d1_given_mean(self, eta, mu):
         return mu
 
     def mean_d2(self, eta):
-        return _like(eta, self._lam(eta))
-
-    def mean_d3(self, eta):
-        return _like(eta, self._lam(eta))
+        return self._lam(eta)
 
     def variance(self, eta):
-        return _like(eta, self._lam(eta))
+        return self._lam(eta)
 
     def sample(self, eta, rng):
-        lam = self._lam(eta)
-        return _like(eta, rng.poisson(lam).astype(float))
-
-    def log_density(self, x, eta):
-        xa = np.asarray(x, dtype=float)
-        if np.any(xa < 0) or not np.all(xa == np.floor(xa)):
-            raise DomainError("poisson weights must be nonnegative integers")
-        h = _as_finite_array(eta)
-        lam = self._lam(eta)
-        out = xa * h - lam - gammaln(xa + 1.0)
-        return _like(x, out)
+        return rng.poisson(self._lam(eta)).astype(float)
 
 
 _FAMILIES = {

@@ -29,9 +29,11 @@ conjugate gradients, O(mn) per iteration, preconditioned by the
 closed-form diagonal-plus-coupling inverse (``approx_inverse``), with
 the exact solve as fallback.  ``gamma`` is eliminated through the p x p
 information matrix ``H``.  The Jacobian at the estimate, which inference
-reads, is always factored exactly.  The degree solve at fixed ``gamma``
-and the profiled covariate residuals stay as the profile API, the
-reference against which ``H`` is checked.
+reads, is always factored exactly.  The profile API (the degree solve
+at fixed ``gamma``, the profiled covariate residuals and
+``profile_jacobian``) and the stand-alone residual and Jacobian builders
+are not exported from ``bimoment`` and no command runs them;
+``bench/tracer.py`` wraps them by name.
 
 Every covariate sum over dyads (``z @ gamma`` in the predictor, the
 totals ``sum_ij z_ij w_ij``, ``A`` and the mixed derivatives ``C``) is a
@@ -398,10 +400,6 @@ class InverseApproximation:
         s[self.n_actors :] = -1.0
         return s
 
-    def materialize(self) -> np.ndarray:
-        s = self._signs
-        return np.diag(self.inv_diag) + self.inv_coupling * np.outer(s, s)
-
     def apply(self, vec: np.ndarray) -> np.ndarray:
         """Product with a vector, or with stacked columns (dim x r),
         without materializing the full matrix."""
@@ -423,11 +421,15 @@ def approx_inverse(jacobian: StructuredJacobian) -> InverseApproximation:
 
 @dataclass(frozen=True)
 class IterationRecord:
-    """One convergence-trace row: the Newton step index (0 for the start),
-    the step halvings that step needed, the residual sup norms at the
-    accepted point, and the conjugate-gradient iterations of the step's
-    degree solve (0 for the start and for a step that factored the Schur
-    complement; a step whose CG reached ``PCG_MAX_ITER`` also factored)."""
+    """One convergence-trace row, one line of ``trace.tsv``: field
+    ``outer_iteration`` is column ``step`` (the Newton step index, 0 for
+    the start), ``inner_iterations`` is column ``halvings`` (the step
+    halvings that step needed), and the other fields are the columns of
+    their names: the residual sup norms at the accepted point and the
+    conjugate-gradient iterations of the step's degree solve (0 for the
+    start and for a step that factored the Schur complement; a step whose
+    CG reached ``PCG_MAX_ITER`` also factored).  ``bench/tracer.py`` reads
+    the fields by these names."""
 
     outer_iteration: int
     inner_iterations: int

@@ -41,7 +41,7 @@ from .errors import ConfigError
 from .fitter import (
     FitResult,
     StructuredJacobian,
-    approx_inverse,
+    approx_inverse,  # noqa: F401  re-exported; bench/tracer.py wraps it here by name
     degree_sums,
     information_at,
 )
@@ -173,8 +173,8 @@ def _pair_quadratics(w_alpha_diag, w_cross, w_beta_diag) -> np.ndarray:
     selects the degree coordinates edge (i, j) feeds), ``w_alpha_ii + 2
     w_cross_ij + w_beta_jj`` and ``w_alpha_ii`` for the dropped event,
     from the diagonals of W's actor and event blocks and its actor-event
-    block (or anything that broadcasts to m x (n-1)), summed in place to
-    spare the peak memory two m x n temporaries."""
+    block, summed in place to spare the peak memory two m x n
+    temporaries."""
     m, n = w_alpha_diag.shape[0], w_beta_diag.shape[0] + 1
     q = np.empty((m, n))
     free = q[:, : n - 1]
@@ -194,28 +194,20 @@ def _bias_sum(fit: FitResult, mu2: np.ndarray, q: np.ndarray) -> np.ndarray:
     return fit.covariates.total(q) / (2.0 * math.sqrt(fit.n_edges))
 
 
-def incidental_bias_expfam(fit: FitResult, use_approx: bool = False) -> np.ndarray:
+def incidental_bias_expfam(fit: FitResult) -> np.ndarray:
     """Analytic bias term of the scaled coefficient estimate for
     exponential families (degree-vector covariance equals the Jacobian).
 
     The plug-in value is ``(1 / (2 sqrt(N))) sum_ij z_ij mu''_ij q_ij``
-    with ``q_ij`` the inverse quadratic form of the edge.  With
-    ``use_approx`` the closed-form inverse approximation is substituted,
-    which turns each event (and actor) contribution into a ratio of
-    curvature to slope totals, the form the asymptotics are stated in.
+    with ``q_ij`` the quadratic form of the edge in the exact inverse of
+    the Jacobian.
     """
     if not fit.family.exponential_family:
         raise ConfigError("exponential-family bias form needs an exponential family")
     if fit.covariates.p == 0:
         return np.zeros(0)
     mu2 = fit.family.mean_d2(fit.predictor)
-    if use_approx:
-        s = approx_inverse(fit.jacobian)
-        c = s.inv_coupling
-        q = _pair_quadratics(s.inv_diag[: fit.m] + c, -c, s.inv_diag[fit.m :] + c)
-    else:
-        q = _pair_quadratics(*fit.jacobian.inverse_blocks())
-    return _bias_sum(fit, mu2, q)
+    return _bias_sum(fit, mu2, _pair_quadratics(*fit.jacobian.inverse_blocks()))
 
 
 def incidental_bias_general(fit: FitResult) -> np.ndarray:

@@ -59,6 +59,15 @@ def checkerboard_graph(m, n):
     )
 
 
+def dense_approx_inverse(approx):
+    """The dense matrix of an ``InverseApproximation``: ``diag(inv_diag) +
+    inv_coupling * s s'`` with ``s`` +1 on the actors and -1 on the
+    events."""
+    s = np.ones(approx.inv_diag.shape[0])
+    s[approx.n_actors :] = -1.0
+    return np.diag(approx.inv_diag) + approx.inv_coupling * np.outer(s, s)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260810)

@@ -12,7 +12,6 @@ import time
 
 import numpy as np
 import pytest
-import scipy.optimize
 
 from bimoment import (
     CovariateTensor,
@@ -20,23 +19,21 @@ from bimoment import (
     ParameterSet,
     Scenario,
     approx_inverse,
-    build_jacobian,
     fit,
     get_family,
     incidental_bias_expfam,
     incidental_bias_general,
     ks_normality,
-    profiled_residuals,
     run_scenario,
-    solve_degree_params,
 )
 from bimoment.cli import EXIT_OK, main
 from bimoment.errors import FitError, IllPosedError
-from bimoment.fitter import profile_jacobian
+from bimoment.fitter import build_jacobian, profile_jacobian
 from bimoment.fixtures import make_ratings_fixture
 
 import conftest
-from conftest import feasible_instance
+import oracles
+from conftest import dense_approx_inverse, feasible_instance
 
 LOGISTIC = get_family("logistic")
 POISSON = get_family("poisson")
@@ -147,41 +144,6 @@ def test_criterion_05_normalized_statistic_normality(table_runs):
                   "normalized estimates")
 
 
-def _likelihood_oracle(graph, cov, family):
-    """Generic maximizer of the summed log density over all free
-    parameters; brute-force per-edge accumulation, quasi-Newton search."""
-    m, n, p = graph.m, graph.n, cov.p
-
-    def objective(x):
-        alpha, beta_free, gamma = x[:m], x[m : m + n - 1], x[m + n - 1 :]
-        beta = np.append(beta_free, 0.0)
-        total = 0.0
-        grad = np.zeros_like(x)
-        for i in range(m):
-            for j in range(n):
-                eta = alpha[i] + beta[j]
-                if p:
-                    eta += float(cov.values[i, j] @ gamma)
-                total -= family.log_density(graph.weights[i, j], eta)
-                resid = family.mean(eta) - graph.weights[i, j]
-                grad[i] += resid
-                if j < n - 1:
-                    grad[m + j] += resid
-                if p:
-                    grad[m + n - 1 :] += resid * cov.values[i, j]
-        return total, grad
-
-    best = None
-    for attempt in range(2):
-        start = np.zeros(m + n - 1 + p) if attempt == 0 else best
-        res = scipy.optimize.minimize(
-            objective, start, jac=True, method="BFGS",
-            options={"gtol": 1e-13, "maxiter": 10000},
-        )
-        best = res.x
-    return best
-
-
 def test_criterion_06_mle_equivalence():
     worst = 0.0
     checked = 0
@@ -210,7 +172,8 @@ def test_criterion_06_mle_equivalence():
                 # saturation scale, the residual ridge is machine-flat, and
                 # no finite maximizer is identified; regenerate
                 continue
-            oracle = _likelihood_oracle(graph, cov, family)
+            oracle = oracles.likelihood_maximizer(graph.weights, cov.values,
+                                                  family.name)
             fitted = np.concatenate([result.params.theta, result.params.gamma])
             worst = max(worst, float(np.abs(fitted - oracle).max()))
             collected += 1
@@ -229,9 +192,11 @@ def test_criterion_07_information_matrix_validation():
         n = int(rng.integers(4, 8))
         p = int(rng.integers(1, 3))
         graph, cov, truth = feasible_instance(rng, m, n, p, LOGISTIC)
-        opts = FitOptions(tol=1e-13)
         gamma = truth.gamma
-        params, _ = solve_degree_params(gamma, graph, cov, LOGISTIC, opts)
+        # the profiled residuals and the point H is evaluated at come from
+        # the oracle's dense degree solve, H from the package
+        theta = oracles.degree_solve(graph.weights, cov.values, gamma, "logistic")
+        params = ParameterSet.from_theta(theta, gamma, m, n)
         h = profile_jacobian(params, cov, LOGISTIC)
         all_spd &= bool(np.abs(h - h.T).max() < 1e-10)
         try:
@@ -243,8 +208,10 @@ def test_criterion_07_information_matrix_validation():
         for col in range(p):
             bump = np.zeros(p)
             bump[col] = step
-            q_hi = profiled_residuals(gamma + bump, graph, cov, LOGISTIC, opts)
-            q_lo = profiled_residuals(gamma - bump, graph, cov, LOGISTIC, opts)
+            q_hi = oracles.profiled_covariate_residuals(
+                graph.weights, cov.values, gamma + bump, "logistic")
+            q_lo = oracles.profiled_covariate_residuals(
+                graph.weights, cov.values, gamma - bump, "logistic")
             fd[:, col] = (q_hi - q_lo) / (2.0 * step)
         worst_rel = max(worst_rel, float(np.abs(fd - h).max() / np.abs(h).max()))
     ok = worst_rel < 1e-4 and all_spd
@@ -258,7 +225,7 @@ def test_criterion_08_inverse_approximation_decay():
     for n in (20, 40, 80):
         params = ParameterSet.zeros(n, n, 0)
         jac = build_jacobian(params, CovariateTensor.empty(n, n), LOGISTIC)
-        s = approx_inverse(jac).materialize()
+        s = dense_approx_inverse(approx_inverse(jac))
         v_inv = np.linalg.inv(jac.dense())
         errors.append(float(np.abs(v_inv - s).max()))
     ok = errors[0] > errors[1] > errors[2]

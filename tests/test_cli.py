@@ -65,9 +65,8 @@ class TestFitCommand:
 
     def test_trace_records_linear_iterations(self, fit_run):
         header, *rows = (fit_run / "trace.tsv").read_text().splitlines()
-        assert header.split("\t") == ["outer_iteration", "inner_iterations",
-                                      "degree_norm", "covariate_norm",
-                                      "linear_iterations"]
+        assert header.split("\t") == ["step", "halvings", "degree_norm",
+                                      "covariate_norm", "linear_iterations"]
         assert len(rows) >= 2
         # the filtered fixture's smaller side is below the CG gate, so
         # every step factors the Schur complement
@@ -356,6 +355,23 @@ class TestTestCommand:
         assert rc == EXIT_CONFIG
         assert f"field {field!r}" in err
         assert "Traceback" not in err
+
+    def test_sidecar_with_the_former_converged_key(self, fit_run, tmp_path, capsys):
+        # a fit.json written before the key was dropped carries
+        # "converged": true and must give the same test output
+        sidecar = json.loads((fit_run / "fit.json").read_text())
+        assert "converged" not in sidecar
+        old = tmp_path / "old_fit.json"
+        old.write_text(json.dumps({**sidecar, "converged": True}, indent=2,
+                                  sort_keys=True) + "\n")
+        outputs = []
+        for k, path in enumerate((fit_run / "fit.json", old)):
+            out = tmp_path / f"out{k}"
+            rc = main(["test", str(path), "--contrast", "alpha:1-alpha:2",
+                       "--contrast", "gamma:1=0", "--out-dir", str(out)])
+            assert rc == EXIT_OK
+            outputs.append((capsys.readouterr().out, (out / "tests.tsv").read_bytes()))
+        assert outputs[0] == outputs[1]
 
     def test_written_test_report(self, fit_run, tmp_path):
         out = tmp_path / "tests_out"

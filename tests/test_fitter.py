@@ -25,26 +25,30 @@ from bimoment import (
     IllPosedError,
     NonExistenceError,
     ParameterSet,
-    build_jacobian,
     coefficient_inference,
-    covariate_residuals,
-    degree_residuals,
     degrees,
     fit,
     generate_covariates,
     generate_truth,
     get_family,
-    profile_jacobian,
-    profiled_residuals,
     simulate_network,
-    solve_degree_params,
 )
 from bimoment import fitter
 from bimoment.families import LogisticFamily, PoissonFamily
-from bimoment.fitter import StructuredJacobian, mixed_moment_derivative
+from bimoment.fitter import (
+    StructuredJacobian,
+    build_jacobian,
+    covariate_residuals,
+    degree_residuals,
+    mixed_moment_derivative,
+    profile_jacobian,
+    profiled_residuals,
+    solve_degree_params,
+)
 from bimoment.simlab import Scenario, run_replication
 
-from conftest import feasible_instance
+import oracles
+from conftest import dense_approx_inverse, feasible_instance
 
 LOGISTIC = get_family("logistic")
 POISSON = get_family("poisson")
@@ -460,7 +464,7 @@ class TestIterativeSolve:
         # column takes several, and the zero third none
         jac = StructuredJacobian(rng.uniform(1e-3, 0.25, size=(30, 25)))
         v = jac.dense()
-        precond = np.linalg.inv(fitter.approx_inverse(jac).materialize())
+        precond = np.linalg.inv(dense_approx_inverse(fitter.approx_inverse(jac)))
         eigvec = scipy.linalg.eigh(v, precond)[1][:, 5]
         rhs = np.column_stack([v @ eigvec, rng.normal(size=jac.dim),
                                np.zeros(jac.dim)])
@@ -572,7 +576,7 @@ class TestProfileJacobian:
         )
         jac = build_jacobian(truth, cov, LOGISTIC)
         c = mixed_moment_derivative(cov, slopes)
-        s = approx_inverse(jac).materialize()
+        s = dense_approx_inverse(approx_inverse(jac))
         h_with_s = float((np.einsum("ijk,ijl,ij->kl", cov.values, cov.values,
                                     slopes) - c @ s @ c.T)[0, 0])
         h_exact = profile_jacobian(truth, cov, LOGISTIC)[0, 0]
@@ -580,38 +584,6 @@ class TestProfileJacobian:
         assert three_term == pytest.approx(h_with_s, rel=1e-10)
         # ...and close to the exact value at the approximation's accuracy
         assert abs(three_term - h_exact) / abs(h_exact) < 0.05
-
-
-def poisson_mle_oracle(graph, cov, family):
-    """Generic likelihood maximizer over all free parameters, built from
-    per-edge log densities accumulated in explicit loops."""
-    m, n, p = graph.m, graph.n, cov.p
-
-    def negative_loglik(x):
-        alpha, beta_free, gamma = x[:m], x[m : m + n - 1], x[m + n - 1 :]
-        beta = np.append(beta_free, 0.0)
-        total = 0.0
-        grad = np.zeros_like(x)
-        for i in range(m):
-            for j in range(n):
-                eta = alpha[i] + beta[j]
-                if p:
-                    eta += float(cov.values[i, j] @ gamma)
-                total -= family.log_density(graph.weights[i, j], eta)
-                resid = family.mean(eta) - graph.weights[i, j]
-                grad[i] += resid
-                if j < n - 1:
-                    grad[m + j] += resid
-                if p:
-                    grad[m + n - 1 :] += resid * cov.values[i, j]
-        return total, grad
-
-    start = np.zeros(m + n - 1 + p)
-    res = scipy.optimize.minimize(
-        negative_loglik, start, jac=True, method="BFGS",
-        options={"gtol": 1e-12, "maxiter": 5000},
-    )
-    return res.x
 
 
 class TestFitOptions:
@@ -670,7 +642,7 @@ class TestFit:
     def test_poisson_small_instance_matches_mle(self, rng):
         graph, cov, _ = feasible_instance(rng, 4, 3, 1, POISSON)
         result = fit(graph, cov, POISSON)
-        mle = poisson_mle_oracle(graph, cov, POISSON)
+        mle = oracles.likelihood_maximizer(graph.weights, cov.values, "poisson")
         fitted = np.concatenate([result.params.theta, result.params.gamma])
         assert np.abs(fitted - mle).max() < 1e-6
 

@@ -14,12 +14,12 @@ from scipy.stats import norm
 from bimoment import (
     CovariateTensor,
     IllPosedError,
+    ModelFamily,
     MomentResiduals,
     ParameterSet,
     StructuredJacobian,
     approx_inverse,
     bias_corrected_coefficients,
-    build_jacobian,
     coefficient_covariance,
     coefficient_inference,
     fit,
@@ -36,7 +36,12 @@ from bimoment import (
 )
 from bimoment import data, fitter, inference
 from bimoment.errors import ConfigError
-from bimoment.fitter import FitResult, mixed_moment_derivative, profile_jacobian
+from bimoment.fitter import (
+    FitResult,
+    build_jacobian,
+    mixed_moment_derivative,
+    profile_jacobian,
+)
 from bimoment.inference import (
     REPORT_HEADER,
     InferenceComponents,
@@ -44,7 +49,7 @@ from bimoment.inference import (
     wald_from_components,
 )
 
-from conftest import checkerboard_graph, feasible_instance
+from conftest import checkerboard_graph, dense_approx_inverse, feasible_instance
 
 LOGISTIC = get_family("logistic")
 POISSON = get_family("poisson")
@@ -76,7 +81,7 @@ class TestInverseApproximation:
         # the sum of the two last-column slopes
         assert np.allclose(jac.diag, [0.5, 0.5, 0.5])
         assert jac.v_tail == pytest.approx(0.5)
-        s = approx.materialize()
+        s = dense_approx_inverse(approx)
         v_inv_coupling = 1.0 / 0.5
         for i in range(2):
             for j in range(2):
@@ -88,7 +93,7 @@ class TestInverseApproximation:
         graph, cov, truth = feasible_instance(rng, 5, 4, 1, LOGISTIC)
         jac = build_jacobian(truth, cov, LOGISTIC)
         approx = approx_inverse(jac)
-        s = approx.materialize()
+        s = dense_approx_inverse(approx)
         c = approx.inv_coupling
         m = 5
         # actor-block off-diagonals are +c, actor-event entries are -c
@@ -102,7 +107,7 @@ class TestInverseApproximation:
         jac = build_jacobian(truth, cov, POISSON)
         approx = approx_inverse(jac)
         vec = rng.normal(size=jac.dim)
-        np.testing.assert_allclose(approx.apply(vec), approx.materialize() @ vec,
+        np.testing.assert_allclose(approx.apply(vec), dense_approx_inverse(approx) @ vec,
                                    atol=1e-12)
 
     @pytest.mark.parametrize("columns", [None, 1, 3], ids=["vector", "r1", "r3"])
@@ -113,7 +118,7 @@ class TestInverseApproximation:
         x = rng.normal(size=jac.dim if columns is None else (jac.dim, columns))
         out = approx.apply(x)
         assert out.shape == x.shape
-        np.testing.assert_allclose(out, approx.materialize() @ x, rtol=1e-12,
+        np.testing.assert_allclose(out, dense_approx_inverse(approx) @ x, rtol=1e-12,
                                    atol=1e-12)
 
     def test_importable_from_package_inference_and_fitter(self):
@@ -131,7 +136,7 @@ class TestInverseApproximation:
                                                   theta_scale=0.2,
                                                   gamma_scale=0.2)
             jac = build_jacobian(truth, cov, LOGISTIC)
-            s = approx_inverse(jac).materialize()
+            s = dense_approx_inverse(approx_inverse(jac))
             v_inv = np.linalg.inv(jac.dense())
             errors.append(np.abs(v_inv - s).max())
         assert errors[0] > errors[1] > errors[2]
@@ -141,7 +146,7 @@ class TestInverseApproximation:
         for n in (20, 40, 80):
             params = ParameterSet.zeros(n, n, 0)
             jac = build_jacobian(params, CovariateTensor.empty(n, n), LOGISTIC)
-            s = approx_inverse(jac).materialize()
+            s = dense_approx_inverse(approx_inverse(jac))
             dev = np.abs(s @ jac.dense() - np.eye(jac.dim)).max()
             deviations.append(dev)
         assert deviations[0] > deviations[1] > deviations[2]
@@ -286,6 +291,66 @@ class TestCoefficientCovariance:
         assert counts == {"plane_moments": 2, "solve": 1}
 
 
+class ScaledVarianceLogistic(ModelFamily):
+    """A family outside the exponential class: the logistic mean with the
+    variance scaled by ``c``.  It implements only the six methods of the
+    family contract."""
+
+    name = "scaled-variance-logistic"
+    support = "binary"
+    exponential_family = False
+    c = 1.3
+
+    def mean(self, eta):
+        return LOGISTIC.mean(eta)
+
+    def mean_d1(self, eta):
+        return LOGISTIC.mean_d1(eta)
+
+    def mean_d1_given_mean(self, eta, mu):
+        return LOGISTIC.mean_d1_given_mean(eta, mu)
+
+    def mean_d2(self, eta):
+        return LOGISTIC.mean_d2(eta)
+
+    def variance(self, eta):
+        mu = LOGISTIC.mean(eta)
+        return self.c * mu * (1.0 - mu)
+
+    def sample(self, eta, rng):
+        return LOGISTIC.sample(eta, rng)
+
+
+class TestNonExponentialFamily:
+    def test_fit_and_inference_scale_with_the_variance(self, rng):
+        # the moment equations read only the mean, so the estimate is the
+        # logistic one; the variance, c times the slope, scales the
+        # sandwich covariance and the general bias form by c and the node
+        # standard errors by sqrt(c)
+        family = ScaledVarianceLogistic()
+        c = family.c
+        graph, cov, _ = feasible_instance(rng, 10, 8, 2, LOGISTIC)
+        scaled = fit(graph, cov, family)
+        logistic = fit(graph, cov, LOGISTIC)
+        for name in ("alpha", "beta", "gamma"):
+            assert np.array_equal(getattr(scaled.params, name),
+                                  getattr(logistic.params, name))
+        fisher = coefficient_covariance(scaled, "fisher")
+        assert np.array_equal(fisher, coefficient_covariance(logistic, "fisher"))
+        np.testing.assert_allclose(coefficient_covariance(scaled, "sandwich"),
+                                   c * fisher, rtol=1e-10)
+        np.testing.assert_allclose(coefficient_inference(scaled).b_star,
+                                   c * coefficient_inference(logistic).b_star,
+                                   rtol=1e-10)
+        se, se_logistic = node_standard_errors(scaled), node_standard_errors(logistic)
+        np.testing.assert_allclose(se.alpha, math.sqrt(c) * se_logistic.alpha, rtol=1e-12)
+        np.testing.assert_allclose(se.beta, math.sqrt(c) * se_logistic.beta, rtol=1e-12)
+        for method in ("fisher", "sandwich"):
+            rows = report_rows(scaled, method)
+            assert len(rows) == graph.m + graph.n - 1 + 2 * cov.p
+            assert all(math.isfinite(r.p_value) and r.se > 0 for r in rows)
+
+
 def from_scratch(result, method):
     """Everything the inference state caches, recomputed from the fitted
     parameters alone with the formulas' own arithmetic: a fresh predictor
@@ -394,18 +459,6 @@ class TestIncidentalBias:
         synthetic = synthetic_fit(graph, cov, LOGISTIC, params)
         np.testing.assert_allclose(incidental_bias_expfam(synthetic), 0.0,
                                    atol=1e-15)
-
-    def test_poisson_approx_form_is_weighted_mean(self, rng):
-        graph, cov, _ = feasible_instance(rng, 6, 5, 1, POISSON)
-        result = fit(graph, cov, POISSON)
-        slopes = result.jacobian.slopes  # equals the curvature for poisson
-        z = cov.values[:, :, 0]
-        weighted = (
-            np.sum((z * slopes).sum(axis=1) / slopes.sum(axis=1))
-            + np.sum((z * slopes).sum(axis=0) / slopes.sum(axis=0))
-        ) / (2.0 * math.sqrt(30))
-        approx = incidental_bias_expfam(result, use_approx=True)
-        assert approx[0] == pytest.approx(weighted, rel=1e-12)
 
     @pytest.mark.parametrize("family", [LOGISTIC, POISSON], ids=lambda f: f.name)
     def test_general_form_equals_expfam_form(self, rng, family):
