@@ -31,7 +31,7 @@ POISSON_ETA_CAP = 30.0
 
 def _as_finite_array(eta) -> np.ndarray:
     arr = np.asarray(eta, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise DomainError("linear predictor contains non-finite values")
     return arr
 
@@ -91,8 +91,13 @@ class LogisticFamily(ModelFamily):
     exponential_family = True
 
     def _mu(self, eta) -> np.ndarray:
-        x = np.clip(_as_finite_array(eta), -LOGISTIC_ETA_CAP, LOGISTIC_ETA_CAP)
-        return 1.0 / (1.0 + np.exp(-x))
+        # 1 / (1 + exp(-x)), each step in place in the clipped copy; ``[()]``
+        # returns a 0-d predictor's mean as a numpy float
+        x = np.asarray(np.clip(_as_finite_array(eta), -LOGISTIC_ETA_CAP, LOGISTIC_ETA_CAP))
+        np.negative(x, out=x)
+        np.exp(x, out=x)
+        x += 1.0
+        return np.divide(1.0, x, out=x)[()]
 
     def mean(self, eta):
         return self._mu(eta)
@@ -153,7 +158,8 @@ class PoissonFamily(ModelFamily):
         return self._lam(eta)
 
     def sample(self, eta, rng):
-        return rng.poisson(self._lam(eta)).astype(float)
+        # ``rng.poisson`` returns a Python int for a scalar mean
+        return np.asarray(rng.poisson(self._lam(eta)), dtype=float)[()]
 
 
 _FAMILIES = {

@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .data import BipartiteGraph, CovariateTensor, DegreeVector, degrees, plane_moments
 from .errors import (
@@ -146,7 +146,7 @@ class ParameterSet:
         """The m x n matrix pi_ij = alpha_i + beta_j + z_ij @ gamma."""
         pi = self.alpha[:, None] + self.beta[None, :]
         if self.p:
-            pi = pi + (self.gamma @ covariates.rows).reshape(self.m, self.n)
+            pi += (self.gamma @ covariates.rows).reshape(self.m, self.n)
         return pi
 
 
@@ -167,20 +167,28 @@ class FitOptions:
             raise ConfigError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
 
 
+def _sup_norm(x: np.ndarray) -> float:
+    return float(np.abs(x).max()) if x.size else 0.0
+
+
 @dataclass(frozen=True)
 class MomentResiduals:
-    """Degree residuals (length m+n-1) and covariate residuals (length p)."""
+    """Degree residuals (length m+n-1) and covariate residuals (length p),
+    with the sup norm of each, computed once at construction, and the
+    Newton merit ``max(degree_norm, covariate_norm)``."""
 
     degree: np.ndarray
     covariate: np.ndarray
+    degree_norm: float = field(init=False)
+    covariate_norm: float = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "degree_norm", _sup_norm(self.degree))
+        object.__setattr__(self, "covariate_norm", _sup_norm(self.covariate))
 
     @property
-    def degree_norm(self) -> float:
-        return float(np.abs(self.degree).max()) if self.degree.size else 0.0
-
-    @property
-    def covariate_norm(self) -> float:
-        return float(np.abs(self.covariate).max()) if self.covariate.size else 0.0
+    def merit(self) -> float:
+        return max(self.degree_norm, self.covariate_norm)
 
 
 class StructuredJacobian:
@@ -206,7 +214,7 @@ class StructuredJacobian:
         slopes = np.asarray(slopes, dtype=float)
         if slopes.ndim != 2:
             raise ValueError("slopes must be an m x n matrix")
-        if not np.all(np.isfinite(slopes)) or np.any(slopes <= 0.0):
+        if not np.isfinite(slopes).all() or (slopes <= 0.0).any():
             raise ModelDegeneracyError(
                 "mean slopes must be strictly positive over all pairs"
             )
@@ -217,8 +225,12 @@ class StructuredJacobian:
 
     @cached_property
     def diag(self) -> np.ndarray:
-        """All m+n-1 diagonal entries, ``degree_sums(slopes)``."""
-        return degree_sums(self.slopes)
+        """All m+n-1 diagonal entries, ``degree_sums(slopes)``, read-only:
+        inference shares it as the degree variances of exponential
+        families."""
+        d = degree_sums(self.slopes)
+        d.setflags(write=False)
+        return d
 
     @property
     def diag_alpha(self) -> np.ndarray:
@@ -253,23 +265,34 @@ class StructuredJacobian:
         half the flops of a general product, and exactly symmetric."""
         _kept, _elim, d_kept, d_elim, cross_ke = self._sides
         s = cross_ke / np.sqrt(d_elim)
-        return np.diag(d_kept) - s @ s.T
+        complement = np.diag(d_kept)
+        complement -= s @ s.T
+        return complement
 
     @cached_property
     def _schur_factor(self):
-        """Cholesky factor of ``schur_complement``, or ``None`` when the
-        kept block is empty (a single event)."""
+        """Lower Cholesky factor of ``schur_complement`` by LAPACK
+        ``dpotrf``, or ``None`` when the kept block is empty (a single
+        event).  The complement is exactly symmetric, so its transpose is
+        the same matrix in Fortran order, factored in place."""
         if self.n == 1:
             return None
-        try:
-            return scipy.linalg.cho_factor(self.schur_complement(), lower=True)
-        except scipy.linalg.LinAlgError as exc:
-            raise SingularJacobianError(f"Schur complement not PD: {exc}") from exc
+        factor, info = dpotrf(self.schur_complement().T, lower=1, clean=0, overwrite_a=1)
+        if info > 0:
+            raise SingularJacobianError(
+                f"Schur complement not PD: its leading minor of order {info} is not"
+                " positive"
+            )
+        return factor
 
     def _complement_solve(self, rhs: np.ndarray) -> np.ndarray:
+        """``rhs`` (a vector or stacked columns, a temporary of the caller)
+        solved against the Schur complement by LAPACK ``dpotrs``, in place
+        when ``rhs`` is in Fortran order.  ``dpotrs`` flags only malformed
+        arguments, which its wrapper's shape checks already reject."""
         if self._schur_factor is None:
             return rhs
-        return scipy.linalg.cho_solve(self._schur_factor, rhs)
+        return dpotrs(self._schur_factor, rhs, lower=1, overwrite_b=1)[0]
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve ``V x = rhs`` exactly; accepts a vector or a matrix of
@@ -291,7 +314,7 @@ class StructuredJacobian:
         actor block (length m), the dense actor-event block (m x (n-1)) and
         the diagonal of the event block (length n-1)."""
         _kept, _elim, d_kept, d_elim, cross_ke = self._sides
-        inv_kept = self._complement_solve(np.eye(d_kept.size))
+        inv_kept = self._complement_solve(np.eye(d_kept.size, order="F"))
         g = cross_ke.T / d_elim[:, None]
         g_inv = g @ inv_kept
         inv_elim_diag = 1.0 / d_elim + np.einsum("ij,ij->i", g_inv, g)
@@ -650,13 +673,12 @@ def _information(a, c, x_c) -> tuple:
     unless ``H`` is symmetric positive definite."""
     h = a - c @ x_c
     h = 0.5 * (h + h.T)
-    try:
-        chol = np.linalg.cholesky(h)
-    except np.linalg.LinAlgError as exc:
+    chol, info = dpotrf(h, lower=1)
+    if info > 0:
         raise IllPosedError(
             "profiled information matrix is not positive definite; "
             "the coefficient estimate is ill-posed (degenerate covariates?)"
-        ) from exc
+        )
     return h, chol
 
 
@@ -777,11 +799,8 @@ def _damped_newton(graph, covariates, family, deg, theta, gamma, options, free_g
             q = np.zeros(0)
         return params, pi, mu, MomentResiduals(degree=f, covariate=q)
 
-    def merit(res):
-        return max(res.degree_norm, res.covariate_norm)
-
     def merit_trace():
-        return [merit(rec) for rec in trace]
+        return [max(rec.degree_norm, rec.covariate_norm) for rec in trace]
 
     try:
         params, pi, mu, res = evaluate(theta, gamma)
@@ -790,7 +809,7 @@ def _damped_newton(graph, covariates, family, deg, theta, gamma, options, free_g
             f"starting point lies outside the family's working domain: {exc}"
         ) from exc
     trace = [IterationRecord(0, 0, res.degree_norm, res.covariate_norm, 0)]
-    while merit(res) > options.tol:
+    while res.merit > options.tol:
         step_index = len(trace)
         if step_index > options.max_iter:
             raise cap_error(
@@ -810,7 +829,7 @@ def _damped_newton(graph, covariates, family, deg, theta, gamma, options, free_g
                 trial = evaluate(trial_theta, trial_gamma)
             except DomainError:
                 continue  # trial point left the family's working domain
-            if merit(trial[-1]) < merit(res):
+            if trial[-1].merit < res.merit:
                 break
         else:
             raise NonExistenceError(
@@ -847,7 +866,7 @@ def _newton_direction(slopes, covariates: CovariateTensor, res: MomentResiduals)
     x, iterations = _degree_solve(jac, np.column_stack([res.degree, c.T]))
     x_f, x_c = x[:, 0], x[:, 1:]
     _h, chol = _information(a, c, x_c)
-    dgamma = scipy.linalg.cho_solve((chol, True), res.covariate - c @ x_f)
+    dgamma = dpotrs(chol, res.covariate - c @ x_f, lower=1, overwrite_b=1)[0]
     return x_f - x_c @ dgamma, dgamma, iterations
 
 

@@ -34,7 +34,6 @@ import re
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .data import plane_moments
 from .errors import ConfigError
@@ -74,12 +73,24 @@ def exact_inverse_apply(jacobian: StructuredJacobian, vec: np.ndarray) -> np.nda
     return jacobian.solve(vec)
 
 
+def _edge_variances(fit: FitResult) -> np.ndarray:
+    """The m x n edge-weight variances at the estimate.  For exponential
+    families the variance function is the mean slope, so these are the
+    slopes of the fit's Jacobian, the same values ``family.variance``
+    would compute again from the predictor."""
+    if fit.family.exponential_family:
+        return fit.jacobian.slopes
+    return fit.family.variance(fit.predictor)
+
+
 @_once_per_fit
 def _degree_variances(fit: FitResult):
     """Entries of Cov(degree vector) at the fitted parameters: per-row
     diagonal ``u_diag`` (length m+n-1) and ``u_tail`` for the dropped
-    event.  Coincides with the Jacobian diagonal for exponential
-    families."""
+    event.  For exponential families they are the Jacobian's own
+    (read-only) ``diag`` and ``v_tail``."""
+    if fit.family.exponential_family:
+        return fit.jacobian.diag, fit.jacobian.v_tail
     var = fit.family.variance(fit.predictor)
     return _read_only(degree_sums(var)), float(var[:, -1].sum())
 
@@ -129,7 +140,7 @@ def score_terms(fit: FitResult) -> np.ndarray:
     k = _linearization(fit)[1].T  # p x (m+n-1)
     ztilde = fit.covariates.planes - k[:, :m, None]
     ztilde[:, :, :-1] -= k[:, None, m:]
-    _actor, _event, sigma = plane_moments(ztilde, fit.family.variance(fit.predictor))
+    _actor, _event, sigma = plane_moments(ztilde, _edge_variances(fit))
     return sigma
 
 
@@ -498,6 +509,8 @@ def wald_from_components(
         slot_b = theta_slot(contrast.kind, contrast.other_index)
         estimate = float(comp.theta[slot_a] - comp.theta[slot_b])
         se = comp.degree_se(slot_a, slot_b)
+    from scipy.special import ndtr  # see report_rows
+
     statistic = (estimate - null_value) / se
     p_value = 2.0 * float(ndtr(-abs(statistic)))
     described = Contrast(
@@ -548,6 +561,10 @@ def report_rows(
     """Full inference report: every free parameter plus (optionally)
     bias-corrected coefficients, each with estimate, SE, Wald statistic
     against zero, p-value, and confidence bounds."""
+    # imported here: loading scipy.special adds about 3.6 MB to a process,
+    # and fits and Monte-Carlo replications never need it
+    from scipy.special import ndtr, ndtri
+
     zcrit = float(ndtri(0.5 * (1.0 + level)))
     node_se = node_standard_errors(fit)
     names = [f"alpha:{i + 1}" for i in range(fit.m)]

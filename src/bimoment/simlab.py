@@ -17,6 +17,7 @@ normality checks.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import sys
@@ -25,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
-from scipy.special import kolmogorov, ndtr, ndtri
 
 from .data import BipartiteGraph, CovariateTensor
 from .errors import ConfigError, FitError, IllPosedError
@@ -33,7 +33,9 @@ from .families import POISSON_ETA_CAP, ModelFamily, get_family
 from .fitter import FitOptions, FitResult, ParameterSet, fit
 from .inference import coefficient_inference, components_from_fit
 
-Z_95 = float(ndtri(0.975))
+# ndtri(0.975), the two-sided 95% normal quantile, written out so that
+# importing the module does not load scipy.special
+Z_95 = 1.959963984540054
 
 # covariate scheme -> number of covariates it draws
 COVARIATE_SCHEMES = {"sign-product-2d": 2, "none": 0}
@@ -164,11 +166,27 @@ def simulate_network(
     """Draw one graph from the model at the given truth."""
     pi = truth.linear_predictor(covariates)
     weights = family.sample(pi, rng)
+    actor_labels, event_labels = _node_labels(truth.m, truth.n)
     return BipartiteGraph(
-        weights=weights,
-        actor_labels=tuple(f"a{i + 1}" for i in range(truth.m)),
-        event_labels=tuple(f"e{j + 1}" for j in range(truth.n)),
+        weights=weights, actor_labels=actor_labels, event_labels=event_labels
     )
+
+
+@functools.lru_cache(maxsize=16)
+def _node_labels(m: int, n: int) -> tuple:
+    """``(actor labels, event labels)`` of a simulated m x n graph, built
+    once per shape and process."""
+    return tuple(f"a{i + 1}" for i in range(m)), tuple(f"e{j + 1}" for j in range(n))
+
+
+@functools.lru_cache(maxsize=16)
+def _scenario_truth(scenario: Scenario) -> ParameterSet:
+    """The scenario's truth, built once per scenario and process and
+    shared by its replications, so its arrays are read-only."""
+    truth = generate_truth(scenario.m, scenario.n, scenario.L, scenario.gamma_star)
+    for arr in (truth.alpha, truth.beta, truth.gamma):
+        arr.setflags(write=False)
+    return truth
 
 
 def tracked_indices(m: int, n: int) -> dict:
@@ -197,7 +215,7 @@ def run_replication(scenario: Scenario, replication: int) -> ReplicationRecord:
     ``(scenario.seed, replication)``)."""
     rng = np.random.default_rng([scenario.seed, replication])
     family = get_family(scenario.family)
-    truth = generate_truth(scenario.m, scenario.n, scenario.L, scenario.gamma_star)
+    truth = _scenario_truth(scenario)
     covariates = generate_covariates(scenario.m, scenario.n, scenario.scheme, rng)
     graph = simulate_network(truth, covariates, family, rng)
     try:
@@ -342,6 +360,8 @@ def ks_normality(samples) -> tuple:
     Returns ``(statistic, p_value)`` with the asymptotic p-value.  Needs
     at least 30 samples for the asymptotic formula to be meaningful.
     """
+    from scipy.special import kolmogorov, ndtr  # see Z_95
+
     x = np.asarray(samples, dtype=float).reshape(-1)
     if x.size < 30:
         raise ValueError(f"need at least 30 samples, got {x.size}")

@@ -141,6 +141,17 @@ class TestSampling:
         draws = POISSON.sample(np.zeros(100_000), rng)
         assert abs(draws.mean() - 1.0) <= 3.0 / math.sqrt(100_000)
 
+    @pytest.mark.parametrize("family", [LOGISTIC, POISSON], ids=lambda f: f.name)
+    @pytest.mark.parametrize("eta", [0.3, np.float64(0.3), np.asarray(0.3)],
+                             ids=["float", "float64", "0-d array"])
+    def test_zero_d_predictor_gives_floats(self, family, eta):
+        rng = np.random.default_rng(3)
+        for value in (family.mean(eta), family.mean_d1(eta), family.mean_d2(eta),
+                      family.variance(eta), family.sample(eta, rng)):
+            assert isinstance(value, float)
+        draws = family.sample(np.full((2, 3), eta), rng)
+        assert draws.dtype == float and draws.shape == (2, 3)
+
     def test_sampling_is_reproducible(self):
         a = LOGISTIC.sample(np.zeros(100), np.random.default_rng(42))
         b = LOGISTIC.sample(np.zeros(100), np.random.default_rng(42))

@@ -6,6 +6,7 @@ likelihood maximizer (below the CG gate) and against the factored fit
 (above it)."""
 
 import math
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from bimoment import (
     IllPosedError,
     NonExistenceError,
     ParameterSet,
+    SingularJacobianError,
     coefficient_inference,
     degrees,
     fit,
@@ -221,6 +223,70 @@ class TestStructuredSolve:
         np.testing.assert_allclose(inv_cross, v_inv[:m, m:], rtol=0, atol=1e-10)
         np.testing.assert_allclose(inv_beta_diag, np.diag(v_inv)[m:], rtol=0,
                                    atol=1e-10)
+
+
+class ChoJacobian(StructuredJacobian):
+    """The exact solves through scipy's ``cho_factor``/``cho_solve``
+    wrappers, the reference for the direct LAPACK calls."""
+
+    @cached_property
+    def _schur_factor(self):
+        return scipy.linalg.cho_factor(self.schur_complement(), lower=True)
+
+    def _complement_solve(self, rhs):
+        return scipy.linalg.cho_solve(self._schur_factor, rhs)
+
+
+class TestDirectLapack:
+    """``dpotrf``/``dpotrs`` called directly give the very bits of scipy's
+    ``cho_factor``/``cho_solve``."""
+
+    # kept side of 1, 2 and 100 nodes, keeping the actors (m <= n-1) and
+    # keeping the events
+    @pytest.mark.parametrize("shape", [(1, 5), (2, 7), (100, 130),
+                                       (6, 2), (7, 3), (130, 101)])
+    def test_exact_solves_match_cho_wrappers(self, rng, shape):
+        slopes = rng.uniform(0.05, 0.25, size=shape)
+        jac, ref = StructuredJacobian(slopes), ChoJacobian(slopes)
+        vec = rng.normal(size=jac.dim)
+        stacked = rng.normal(size=(jac.dim, 3))
+        for rhs in (vec, stacked, stacked[:, :1]):
+            before = rhs.copy()
+            assert np.array_equal(jac.solve(rhs), ref.solve(rhs))
+            assert np.array_equal(rhs, before)   # the caller's right-hand side is kept
+        for got, expected in zip(jac.inverse_blocks(), ref.inverse_blocks()):
+            assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_newton_direction_matches_cho_wrappers(self, rng, p):
+        graph, cov, truth = feasible_instance(rng, 9, 7, p, LOGISTIC)
+        slopes = LOGISTIC.mean_d1(truth.linear_predictor(cov))
+        res = fitter.MomentResiduals(degree=rng.normal(size=graph.m + graph.n - 1),
+                                     covariate=rng.normal(size=p))
+        dtheta, dgamma, _ = fitter._newton_direction(slopes, cov, res)
+        # the same block elimination, its p x p solve by the scipy wrappers
+        c, a = fitter.covariate_moments(cov, slopes)
+        x = ChoJacobian(slopes).solve(np.column_stack([res.degree, c.T]))
+        x_f, x_c = x[:, 0], x[:, 1:]
+        h = a - c @ x_c
+        h = 0.5 * (h + h.T)
+        want = scipy.linalg.cho_solve(scipy.linalg.cho_factor(h, lower=True),
+                                      res.covariate - c @ x_f)
+        assert np.array_equal(dgamma, want)
+        assert np.array_equal(dtheta, x_f - x_c @ want)
+
+    @pytest.mark.parametrize("shape", [(3, 9), (9, 3)])
+    def test_non_pd_complement_is_singular(self, rng, monkeypatch, shape):
+        k = min(shape[0], shape[1] - 1)
+        indefinite = np.eye(k)
+        indefinite[-1, -1] = -1.0
+        monkeypatch.setattr(StructuredJacobian, "schur_complement",
+                            lambda self: indefinite.copy())
+        jac = StructuredJacobian(rng.uniform(0.05, 0.25, size=shape))
+        with pytest.raises(SingularJacobianError, match="not PD"):
+            jac.solve(np.ones(jac.dim))
+        with pytest.raises(SingularJacobianError):
+            StructuredJacobian(jac.slopes).inverse_blocks()
 
 
 class TestInnerSolve:

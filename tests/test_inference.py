@@ -414,6 +414,23 @@ class TestInferenceState:
                     assert np.array_equal(getattr(comp, name), want[name])
                 assert np.array_equal(np.concatenate([se.alpha, se.beta]), want["node_se"])
 
+    @pytest.mark.parametrize("family", [LOGISTIC, POISSON], ids=lambda f: f.name)
+    def test_exponential_family_variances_read_from_the_jacobian(self, rng, monkeypatch,
+                                                                 family):
+        graph, cov, _ = feasible_instance(rng, 12, 9, 2, family)
+        result = fit(graph, cov, family)
+        # the same fit, its variances recomputed by ``family.variance``
+        recomputing = type("Recomputing", (type(family),), {"exponential_family": False})
+        plain = dataclasses.replace(result, family=recomputing())
+        want_sigma = score_terms(plain)
+        plain_comp = components_from_fit(plain)
+        monkeypatch.setattr(type(family), "variance", None)   # a call would fail
+        assert np.array_equal(score_terms(result), want_sigma)
+        comp = components_from_fit(result)
+        assert np.array_equal(comp.u_diag, plain_comp.u_diag)
+        assert comp.u_tail == plain_comp.u_tail
+        assert not result.jacobian.diag.flags.writeable
+
     def test_fit_linearization_matches_parameters(self, rng):
         graph, cov, _ = feasible_instance(rng, 10, 14, 2, POISSON)
         result = fit(graph, cov, POISSON)

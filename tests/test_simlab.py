@@ -3,6 +3,10 @@ scheme, forward sampling, replication bookkeeping, determinism, and the
 normality check."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -165,6 +169,53 @@ class TestRunScenario:
             assert summary.mae[key] == pytest.approx(value)
         for key, hit in record.ci_hits.items():
             assert summary.coverage[key] == pytest.approx(100.0 * hit)
+
+    def test_replication_reads_variances_from_the_jacobian(self, monkeypatch):
+        # an exponential family's variances are the fit's slopes, so a
+        # replication evaluates no variance function and one curvature
+        # (the bias term's)
+        calls = {"variance": 0, "mean_d2": 0}
+        family_class = type(LOGISTIC)
+        for name in calls:
+            original = getattr(family_class, name)
+
+            def counted(self, eta, name=name, original=original):
+                calls[name] += 1
+                return original(self, eta)
+
+            monkeypatch.setattr(family_class, name, counted)
+        assert run_replication(self.SMALL, 0).converged
+        assert calls == {"variance": 0, "mean_d2": 1}
+
+    def test_scenario_invariants_are_shared_read_only(self):
+        truth = simlab._scenario_truth(self.SMALL)
+        assert simlab._scenario_truth(self.SMALL) is truth
+        for arr in (truth.alpha, truth.beta, truth.gamma):
+            assert not arr.flags.writeable
+        expected = generate_truth(self.SMALL.m, self.SMALL.n, self.SMALL.L,
+                                  self.SMALL.gamma_star)
+        assert np.array_equal(truth.alpha, expected.alpha)
+        assert np.array_equal(truth.beta, expected.beta)
+        assert np.array_equal(truth.gamma, expected.gamma)
+        actors, events = simlab._node_labels(3, 2)
+        assert (actors, events) == (("a1", "a2", "a3"), ("e1", "e2"))
+        assert simlab._node_labels(3, 2)[0] is actors
+
+    def test_replication_does_not_load_scipy_special(self):
+        # scipy.special (about 3.6 MB) loads only for p-values and the KS test;
+        # what scipy.linalg itself loads, which varies across scipy releases,
+        # is the baseline
+        src = Path(simlab.__file__).resolve().parents[1]
+        code = ("import sys, scipy.linalg; "
+                "special = lambda: {m for m in sys.modules if m.startswith('scipy.special')}; "
+                "before = special(); "
+                "from bimoment.simlab import Scenario, run_replication; "
+                "assert run_replication(Scenario(m=12, n=10, L=0.0, gamma_star=(0.5, 1.0), "
+                "seed=2), 0).converged; "
+                "print(*sorted(special() - before))")
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+        assert run.stdout.strip() == ""
 
     def test_deterministic_rerun(self):
         a = run_scenario(self.SMALL)
