@@ -650,6 +650,11 @@ class MatchMapping:
 
     def __post_init__(self):
         object.__setattr__(self, "groups", dict(self.groups))
+        # classes are attribute values, which are strings, so a group that is
+        # not a string could match nothing
+        bad = [g for g in self.groups.values() if not isinstance(g, str)]
+        if bad:
+            raise ConfigError(f"mapping {self.name!r}: group {bad[0]!r} is not a string")
 
 
 def build_match_covariates(
@@ -660,27 +665,27 @@ def build_match_covariates(
 ) -> CovariateTensor:
     """Binary match covariates: ``z_ijl = 1`` iff actor ``i``'s class under
     mapping ``l`` equals the group assigned to event ``j``'s attribute value.
+
+    Each mapping codes its actor classes and event groups as integers with
+    one ``np.unique`` over the m + n labels, so the m x n plane compares
+    integers, not strings.
     """
     m, n = graph.m, graph.n
-    layers = []
-    for mapping in mappings:
-        actor_class = np.array(
-            [actor_attrs.get(a, mapping.actor_attr) for a in graph.actor_labels]
-        )
-        event_values = [event_attrs.get(e, mapping.event_attr) for e in graph.event_labels]
-        event_group = []
-        for e_label, value in zip(graph.event_labels, event_values):
+    if not mappings:
+        return CovariateTensor.empty(m, n)
+    planes = np.empty((len(mappings), m, n))
+    for plane, mapping in zip(planes, mappings):
+        labels = [actor_attrs.get(a, mapping.actor_attr) for a in graph.actor_labels]
+        for e_label in graph.event_labels:
+            value = event_attrs.get(e_label, mapping.event_attr)
             if value not in mapping.groups:
                 raise ConfigError(
                     f"mapping {mapping.name!r}: event attribute value {value!r} "
                     f"(event {e_label!r}) has no group assignment"
                 )
-            event_group.append(mapping.groups[value])
-        layer = (actor_class[:, None] == np.array(event_group)[None, :]).astype(float)
-        layers.append(layer)
-    if not layers:
-        return CovariateTensor.empty(m, n)
-    planes = np.stack(layers)
+            labels.append(mapping.groups[value])
+        codes = np.unique(np.array(labels), return_inverse=True)[1].reshape(-1)
+        np.equal(codes[:m, None], codes[None, m:], out=plane, casting="unsafe")
     return CovariateTensor(
         values=np.moveaxis(planes, 0, 2), bound=1.0, names=tuple(mp.name for mp in mappings)
     )

@@ -40,6 +40,10 @@ totals ``sum_ij z_ij w_ij``, ``A`` and the mixed derivatives ``C``) is a
 BLAS product on the per-covariate planes of ``CovariateTensor``, which
 says which product each one is; ``C`` and ``A`` share one pass.
 
+The factorizations and their solves call LAPACK ``dpotrf``/``dpotrs``
+from scipy's compiled module, which ``_load_lapack`` reads from its file
+so that importing the package runs no scipy package ``__init__``.
+
 A solution need not exist (a zero-degree actor under a positive mean
 function, for instance); divergence is detected and reported as
 ``NonExistenceError`` rather than looping forever.
@@ -47,13 +51,16 @@ function, for instance); divergence is detected and reported as
 
 from __future__ import annotations
 
+import importlib.util
 import math
 import numbers
+import os
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .data import BipartiteGraph, CovariateTensor, DegreeVector, degrees, plane_moments
 from .errors import (
@@ -67,6 +74,49 @@ from .errors import (
     SingularJacobianError,
 )
 from .families import ModelFamily
+
+
+def _load_lapack():
+    """``dpotrf`` and ``dpotrs`` from scipy's compiled LAPACK module, loaded
+    from its file so that neither ``scipy/__init__.py`` nor
+    ``scipy/linalg/__init__.py`` runs (the latter's array-API layer would
+    double a process's start-up time and memory).  The module is registered
+    under its own name, so ``scipy.linalg.lapack`` exports the same objects
+    whichever is imported first.  Where the direct load fails, as where
+    scipy's ``__init__`` must first set up library paths, the public import
+    is used."""
+    name = "scipy.linalg._flapack"
+    module = sys.modules.get(name)
+    if module is None:
+        try:
+            scipy_spec = importlib.util.find_spec("scipy")
+            if scipy_spec is None or not scipy_spec.submodule_search_locations:
+                raise ImportError("scipy is not installed as a package directory")
+            linalg_dir = os.path.join(scipy_spec.submodule_search_locations[0], "linalg")
+            finder = FileFinder(linalg_dir, (ExtensionFileLoader, EXTENSION_SUFFIXES))
+            spec = finder.find_spec(name)
+            if spec is None:
+                raise ImportError(f"{name} not found in {linalg_dir}")
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+        except ImportError:
+            from scipy.linalg.lapack import dpotrf, dpotrs
+            return dpotrf, dpotrs
+        sys.modules[name] = module
+    return module.dpotrf, module.dpotrs
+
+
+dpotrf, dpotrs = _load_lapack()
+
+# glibc's malloc raises its heap trim threshold to twice the largest
+# mmap-backed block freed so far.  Below about 1 MB, the heap a (100, 100)
+# replication frees is returned to the kernel after every replication and
+# faulted back in by the next: 123 minor faults and 0.1-0.5 ms more per
+# replication, measured with one BLAS thread.  scipy.linalg's package import,
+# which the direct load skips, frees a large enough block as a side effect;
+# one untouched 4 MB block does it here.  Other allocators are unaffected.
+_block = np.empty(1 << 19)
+del _block
 
 # Divergence guard: beyond this magnitude every shipped family is fully
 # saturated, so a parameter escaping it signals nonexistence.

@@ -21,7 +21,6 @@ import functools
 import math
 import numbers
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -320,6 +319,8 @@ def run_scenario(scenario: Scenario, workers: int = 1) -> ScenarioSummary:
         raise ConfigError(f"workers must be at least 1, got {workers}")
     reps = range(scenario.replications)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # a serial study never loads it
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(run_replication, [scenario] * scenario.replications,
                                     reps, chunksize=8))

@@ -604,13 +604,15 @@ class TestEnvironmentOverrides:
         assert "Traceback" not in err
 
 
-def test_import_does_not_load_scipy_stats():
-    # the package needs only scipy.linalg and scipy.special; scipy.stats,
-    # with the subpackages it pulls in, would add about 0.6 s and 40 MB to
-    # every process start
+def test_import_set():
+    # the only scipy module the package loads is the compiled LAPACK module,
+    # straight from its file: scipy.linalg's package __init__ (through
+    # scipy._lib's array-API layer) would double a process's start-up time
+    # and memory, scipy.special loads only for p-values, and scipy.stats only
+    # in the tests.  The process pool loads only for a study that uses one.
     src = Path(bimoment.__file__).resolve().parents[1]
     code = ("import sys, bimoment, bimoment.cli; print(*sorted(m for m in sys.modules"
-            " if m == 'scipy.stats' or m.startswith('scipy.stats.')))")
+            " if m.split('.')[0] in ('scipy', 'concurrent', 'multiprocessing')))")
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": str(src)}, check=True)
-    assert run.stdout.strip() == ""
+    assert run.stdout.split() == ["scipy.linalg._flapack"]

@@ -629,6 +629,28 @@ class TestMatchCovariates:
         assert set(np.unique(tensor.values)) <= {0.0, 1.0}
         assert tensor.bound == 1.0
 
+    def test_classes_on_one_side_only_match_string_comparison(self, rng):
+        # actor classes no event group takes ("X", and "" on some actors),
+        # groups no actor holds ("Y", "XX"), and labels that are prefixes of
+        # one another: the integer codes give the planes string equality gives
+        m, n = 40, 30
+        classes = rng.choice(["M", "F", "X", "", "MM"], size=m)
+        values = rng.choice(["a", "b", "c", "d", "e"], size=n)
+        groupings = ({"a": "M", "b": "F", "c": "Y", "d": "XX", "e": "M"},
+                     {"a": "", "b": "X", "c": "MM", "d": "M", "e": "Q"})
+        graph = graph_from(np.ones((m, n)))
+        actors = attrs(("c",), {a: {"c": str(k)} for a, k in zip(graph.actor_labels, classes)})
+        events = attrs(("v",), {e: {"v": str(v)} for e, v in zip(graph.event_labels, values)})
+        mappings = [MatchMapping(f"z{k}", "c", "v", g) for k, g in enumerate(groupings)]
+        tensor = build_match_covariates(graph, actors, events, mappings)
+        for plane, groups in zip(tensor.planes, groupings):
+            want = classes[:, None] == np.array([groups[v] for v in values])[None, :]
+            assert np.array_equal(plane, want.astype(float))
+
+    def test_group_that_is_not_a_string_is_rejected(self):
+        with pytest.raises(ConfigError, match="group 1 is not a string"):
+            MatchMapping("z", "sex", "genre", {"action": 1})
+
     def test_unmapped_event_value_names_the_value(self):
         bad_map = MatchMapping(
             name="sex_match", actor_attr="sex", event_attr="genre",

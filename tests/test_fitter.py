@@ -6,7 +6,11 @@ likelihood maximizer (below the CG gate) and against the factored fit
 (above it)."""
 
 import math
+import os
+import subprocess
+import sys
 from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -287,6 +291,48 @@ class TestDirectLapack:
             jac.solve(np.ones(jac.dim))
         with pytest.raises(SingularJacobianError):
             StructuredJacobian(jac.slopes).inverse_blocks()
+
+    # a small fit whose Schur complement dpotrf factors, its estimate in hex
+    FIT_BITS = (
+        "import numpy as np\n"
+        "from bimoment import fit, generate_covariates, generate_truth, get_family,"
+        " simulate_network\n"
+        "rng = np.random.default_rng(7)\n"
+        "truth = generate_truth(12, 10, 0.0, (0.5, 1.0))\n"
+        "cov = generate_covariates(12, 10, 'sign-product-2d', rng)\n"
+        "graph = simulate_network(truth, cov, get_family('logistic'), rng)\n"
+        "res = fit(graph, cov, get_family('logistic'))\n"
+        "print(np.concatenate([res.params.theta, res.params.gamma]).tobytes().hex())\n"
+    )
+
+    @staticmethod
+    def run_fresh(code):
+        src = Path(fitter.__file__).resolve().parents[1]
+        return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(src)}, check=True).stdout
+
+    @pytest.mark.parametrize("first, second", [("scipy.linalg", "bimoment"),
+                                               ("bimoment", "scipy.linalg")])
+    def test_routines_are_scipy_exports(self, first, second):
+        # the compiled module is loaded once, whichever package imports it first
+        self.run_fresh(
+            f"import {first}; import {second}\n"
+            "import scipy.linalg.lapack as lapack, bimoment.fitter as fitter\n"
+            "assert fitter.dpotrf is lapack.dpotrf and fitter.dpotrs is lapack.dpotrs\n")
+
+    def test_public_import_when_direct_load_fails(self):
+        # a lookup that finds no scipy directory makes the direct load fail
+        out = self.run_fresh(
+            "import importlib.util, sys\n"
+            "find_spec = importlib.util.find_spec\n"
+            "importlib.util.find_spec = lambda name, package=None: (\n"
+            "    None if name == 'scipy' else find_spec(name, package))\n"
+            "import bimoment.fitter as fitter\n"
+            "assert 'scipy.linalg' in sys.modules\n"
+            "import scipy.linalg.lapack as lapack\n"
+            "assert fitter.dpotrf is lapack.dpotrf and fitter.dpotrs is lapack.dpotrs\n"
+            + self.FIT_BITS)
+        assert out == self.run_fresh(self.FIT_BITS)
 
 
 class TestInnerSolve:

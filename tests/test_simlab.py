@@ -4,6 +4,7 @@ normality check."""
 
 import math
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -202,20 +203,36 @@ class TestRunScenario:
         assert simlab._node_labels(3, 2)[0] is actors
 
     def test_replication_does_not_load_scipy_special(self):
-        # scipy.special (about 3.6 MB) loads only for p-values and the KS test;
-        # what scipy.linalg itself loads, which varies across scipy releases,
-        # is the baseline
+        # scipy.special (about 3.6 MB) loads only for p-values and the KS test,
+        # and a serial study starts no process pool
         src = Path(simlab.__file__).resolve().parents[1]
-        code = ("import sys, scipy.linalg; "
-                "special = lambda: {m for m in sys.modules if m.startswith('scipy.special')}; "
-                "before = special(); "
-                "from bimoment.simlab import Scenario, run_replication; "
-                "assert run_replication(Scenario(m=12, n=10, L=0.0, gamma_star=(0.5, 1.0), "
-                "seed=2), 0).converged; "
-                "print(*sorted(special() - before))")
+        code = ("import sys; "
+                "from bimoment.simlab import Scenario, run_replication, run_scenario; "
+                "scenario = Scenario(m=12, n=10, L=0.0, gamma_star=(0.5, 1.0), seed=2, "
+                "replications=2); "
+                "assert run_replication(scenario, 0).converged; "
+                "run_scenario(scenario, workers=1); "
+                "print(*sorted(m for m in sys.modules if m.startswith('scipy.special') "
+                "or m.split('.')[0] in ('concurrent', 'multiprocessing')))")
         run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env={**os.environ, "PYTHONPATH": str(src)}, check=True)
         assert run.stdout.strip() == ""
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's heap trimming")
+    def test_replication_reuses_the_freed_heap(self):
+        # glibc returns the heap a (100, 100) replication frees to the kernel,
+        # unless its trim threshold was raised (see the block bimoment.fitter
+        # frees at import); the next replication would fault ~120 pages back in
+        src = Path(simlab.__file__).resolve().parents[1]
+        code = ("import resource; from bimoment.simlab import Scenario, run_replication; "
+                "s = Scenario(m=100, n=100, L=0.0, gamma_star=(0.5, 1.0), seed=3); "
+                "faults = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_minflt; "
+                "[run_replication(s, r) for r in range(20)]; before = faults(); "
+                "[run_replication(s, r) for r in range(20, 60)]; "
+                "print((faults() - before) / 40)")
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+        assert float(run.stdout) < 10
 
     def test_deterministic_rerun(self):
         a = run_scenario(self.SMALL)
