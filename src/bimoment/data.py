@@ -614,10 +614,11 @@ def filter_by_degree(
 
     ``once`` evaluates both thresholds on the original graph's degrees (a
     single pass; surviving nodes may fall back below the threshold in the
-    subgraph).  ``iterate`` repeats the pass until no node is removed.
+    subgraph).  ``iterate`` repeats the pass until no node is removed.  A
+    threshold that is negative or NaN raises ``ConfigError``.
     """
-    if min_degree < 0:
-        raise ConfigError("min_degree must be nonnegative")
+    if not min_degree >= 0:  # NaN fails this too
+        raise ConfigError(f"min_degree must be a number >= 0, got {min_degree!r}")
     if mode not in ("once", "iterate"):
         raise ConfigError(f"unknown filter mode {mode!r}")
     current = graph

@@ -195,7 +195,7 @@ class ParameterSet:
     def linear_predictor(self, covariates: CovariateTensor) -> np.ndarray:
         """The m x n matrix pi_ij = alpha_i + beta_j + z_ij @ gamma."""
         pi = self.alpha[:, None] + self.beta[None, :]
-        if self.p:
+        if self.p:  # without covariates, skip an m x n pass that adds zeros
             pi += (self.gamma @ covariates.rows).reshape(self.m, self.n)
         return pi
 
@@ -581,8 +581,6 @@ def covariate_residuals(
     family: ModelFamily,
 ) -> np.ndarray:
     """Covariate-weighted expected-minus-observed edge totals (length p)."""
-    if covariates.p == 0:
-        return np.zeros(0)
     mu = family.mean(params.linear_predictor(covariates))
     return covariates.total(mu - graph.weights)
 
@@ -601,39 +599,42 @@ def solve_structured(jacobian: StructuredJacobian, rhs: np.ndarray) -> np.ndarra
     return jacobian.solve(rhs)
 
 
-def _check_feasible_degrees(graph, deg: DegreeVector, family: ModelFamily):
-    """Fail fast on degree configurations that rule out a finite solution.
+def _checked_degrees(graph: BipartiteGraph, covariates: CovariateTensor,
+                     family: ModelFamily) -> DegreeVector:
+    """The degree vector of ``graph``, after the input checks that ``fit``
+    and ``solve_degree_params`` share.
 
-    Any family here has strictly positive means, so zero degrees are
-    unreachable; for binary support, saturated degrees are as well.  The
-    event-n equation is dropped from the system but is implied by the
-    others, so its degree is checked too.
+    In this order: covariates whose (m, n) is not the graph's raise
+    ``DataError``, and so do weights other than 0 and 1 under a binary
+    family.  A node of degree 0 raises ``NonExistenceError``, and under a
+    binary family so does a node connected to every node of the other
+    side: every family here has strictly positive means, binary ones below
+    1, so no finite parameters reach those degrees.  Each degree rule
+    checks the actors, then the events, and names the first node that
+    breaks it; the dropped event-n equation is implied by the others, so
+    its degree is checked too.
     """
-    zero_d = np.nonzero(deg.d == 0)[0]
-    zero_b = np.nonzero(deg.b == 0)[0]
-    if zero_d.size:
-        raise NonExistenceError(
-            f"actor {graph.actor_labels[zero_d[0]]!r} has degree 0; "
-            "the degree equations have no finite solution"
+    if (covariates.m, covariates.n) != (graph.m, graph.n):
+        raise DataError(
+            f"covariate dimensions {(covariates.m, covariates.n)} do not match "
+            f"graph dimensions {(graph.m, graph.n)}"
         )
-    if zero_b.size:
-        raise NonExistenceError(
-            f"event {graph.event_labels[zero_b[0]]!r} has degree 0; "
-            "the degree equations have no finite solution"
-        )
-    if family.support == "binary":
-        full_d = np.nonzero(deg.d == graph.n)[0]
-        full_b = np.nonzero(deg.b == graph.m)[0]
-        if full_d.size:
-            raise NonExistenceError(
-                f"actor {graph.actor_labels[full_d[0]]!r} is connected to every "
-                "event; the degree equations have no finite solution"
-            )
-        if full_b.size:
-            raise NonExistenceError(
-                f"event {graph.event_labels[full_b[0]]!r} is connected to every "
-                "actor; the degree equations have no finite solution"
-            )
+    binary = family.support == "binary"
+    if binary and not graph.is_binary:
+        raise DataError("binary family requires a 0/1 weight matrix")
+    deg = degrees(graph)
+    sides = (("actor", graph.actor_labels, deg.d, "event", graph.n),
+             ("event", graph.event_labels, deg.b, "actor", graph.m))
+    for saturated in (False, True) if binary else (False,):
+        for kind, labels, counts, other, size in sides:
+            bad = np.flatnonzero(counts == (size if saturated else 0))
+            if bad.size:
+                what = f"is connected to every {other}" if saturated else "has degree 0"
+                raise NonExistenceError(
+                    f"{kind} {labels[bad[0]]!r} {what}; "
+                    "the degree equations have no finite solution"
+                )
+    return deg
 
 
 def solve_degree_params(
@@ -648,14 +649,14 @@ def solve_degree_params(
     ``warm_start`` or else from zero degree parameters.
 
     It stops once ``|f|_inf <= options.tol``.  Returns ``(params, trace)``
-    where ``trace`` is the sup-norm residual per iteration.  Raises
+    where ``trace`` is the sup-norm residual per iteration.  Its input is
+    checked as ``fit`` checks it (``_checked_degrees``).  Raises
     ``NonExistenceError`` when the iteration diverges or takes more than
     ``options.max_iter`` steps: by the theory a finite solution exists
     only with high probability, and divergence is the observable
     signature of the exceptional event.
     """
-    deg = degrees(graph)
-    _check_feasible_degrees(graph, deg, family)
+    deg = _checked_degrees(graph, covariates, family)
     theta = (np.zeros(graph.m + graph.n - 1) if warm_start is None
              else np.array(warm_start, dtype=float))
     gamma = np.asarray(gamma, dtype=float).reshape(-1)
@@ -709,7 +710,7 @@ def information_at(jac: StructuredJacobian, covariates: CovariateTensor) -> tupl
     """``(H, X_C)`` at the point whose structured Jacobian is ``jac``:
     ``H`` as in ``profile_jacobian`` and the solve ``X_C = V^{-1} C^T`` it
     is formed from, by one ``covariate_moments`` pass and one exact solve."""
-    if covariates.p == 0:
+    if covariates.p == 0:  # skips the exact solve, which would factor V for no columns
         return np.zeros((0, 0)), np.zeros((jac.dim, 0))
     c, a = covariate_moments(covariates, jac.slopes)
     x_c = jac.solve(c.T)
@@ -783,7 +784,8 @@ def fit(
     last trial already computed; inference reuses both, and factors that
     Jacobian exactly whatever its size.  The trace records, per step, the
     halvings and the CG iterations of the degree solve.
-    Raises ``NonExistenceError`` for infeasible degrees, a stall under
+    Raises ``DataError`` or ``NonExistenceError`` for input that fails
+    ``_checked_degrees``, ``NonExistenceError`` for a stall under
     full damping or degree parameters escaping ``PARAM_CAP``,
     ``MaxIterationsError`` after ``options.max_iter`` steps, and
     ``IllPosedError`` when ``H`` is not positive definite.
@@ -792,16 +794,7 @@ def fit(
         raise ValueError("family is required")
     if covariates is None:
         covariates = CovariateTensor.empty(graph.m, graph.n)
-    if (covariates.m, covariates.n) != (graph.m, graph.n):
-        raise DataError(
-            f"covariate dimensions {(covariates.m, covariates.n)} do not match "
-            f"graph dimensions {(graph.m, graph.n)}"
-        )
-    if family.support == "binary" and not graph.is_binary:
-        raise DataError("binary family requires a 0/1 weight matrix")
-
-    deg = degrees(graph)
-    _check_feasible_degrees(graph, deg, family)
+    deg = _checked_degrees(graph, covariates, family)
     params, pi, mu, residuals, trace = _damped_newton(
         graph, covariates, family, deg, np.zeros(graph.m + graph.n - 1),
         np.zeros(covariates.p), options, free_gamma=True,
@@ -909,6 +902,8 @@ def _newton_direction(slopes, covariates: CovariateTensor, res: MomentResiduals)
     (``_degree_solve``).  Residuals without a covariate part (``p = 0``,
     or ``gamma`` held fixed) give the degree-only direction."""
     jac = StructuredJacobian(slopes)
+    # the degree-only branch also serves a fixed gamma, and with p = 0 the
+    # general one would hand dpotrs a 0 x 0 factor, which it rejects
     if res.covariate.size == 0:
         x_f, iterations = _degree_solve(jac, res.degree)
         return x_f, np.zeros(covariates.p), iterations

@@ -169,8 +169,6 @@ def _covariance(fit: FitResult, method: str) -> np.ndarray:
     h = _linearization(fit)[0]
     if method not in ("fisher", "sandwich"):
         raise ConfigError(f"unknown covariance method {method!r}")
-    if fit.covariates.p == 0:
-        return _read_only(np.zeros((0, 0)))
     h_inv = np.linalg.inv(h)
     if method == "fisher":
         cov = h_inv
@@ -215,8 +213,6 @@ def incidental_bias_expfam(fit: FitResult) -> np.ndarray:
     """
     if not fit.family.exponential_family:
         raise ConfigError("exponential-family bias form needs an exponential family")
-    if fit.covariates.p == 0:
-        return np.zeros(0)
     mu2 = fit.family.mean_d2(fit.predictor)
     return _bias_sum(fit, mu2, _pair_quadratics(*fit.jacobian.inverse_blocks()))
 
@@ -229,8 +225,6 @@ def incidental_bias_general(fit: FitResult) -> np.ndarray:
     function), which reduces to the exponential-family form when ``U =
     V``.  Dense at desk scale.
     """
-    if fit.covariates.p == 0:
-        return np.zeros(0)
     jac = fit.jacobian
     m = fit.m
     u = StructuredJacobian(fit.family.variance(fit.predictor)).dense()
@@ -251,8 +245,6 @@ def bias_corrected_coefficients(
     estimate has asymptotic mean shift ``-h_bar^{-1} b_star``, so this
     undoes the implied bias of ``gamma`` itself.
     """
-    if fit.covariates.p == 0:
-        return np.zeros(0)
     return fit.params.gamma + np.linalg.solve(h_bar, b_star) / math.sqrt(fit.n_edges)
 
 
@@ -271,8 +263,12 @@ class GammaInference:
 @_once_per_fit
 def _bias_correction(fit: FitResult) -> tuple:
     """``(b_star, gamma_bc)``: the analytic bias term of the family's form
-    (exact inverse) and the coefficients it corrects."""
-    if fit.family.exponential_family:
+    (exact inverse) and the coefficients it corrects.  Without covariates
+    the bias term is empty, and the bias forms, which would still evaluate
+    ``mean_d2`` and factor the Jacobian, are not called."""
+    if not fit.covariates.p:
+        b_star = np.zeros(0)
+    elif fit.family.exponential_family:
         b_star = incidental_bias_expfam(fit)
     else:
         b_star = incidental_bias_general(fit)
@@ -282,11 +278,13 @@ def _bias_correction(fit: FitResult) -> tuple:
 
 
 def coefficient_inference(fit: FitResult, method: str = "fisher") -> GammaInference:
-    """One-stop coefficient inference: covariance, SEs, bias correction."""
+    """One-stop coefficient inference: covariance, SEs, bias correction.
+    Without covariates every array is empty.  Raises what the information
+    at the estimate raises: ``IllPosedError`` when ``H`` is not positive
+    definite and ``SingularJacobianError`` when the exact factorization of
+    the fit's Jacobian fails; a Monte-Carlo replication counts either as
+    not converged (``simlab.run_replication``)."""
     cov = _covariance(fit, method)
-    if fit.covariates.p == 0:
-        empty = np.zeros(0)
-        return GammaInference(empty, cov, empty, empty, empty, method)
     b_star, gamma_bc = _bias_correction(fit)
     return GammaInference(
         estimate=fit.params.gamma.copy(),
@@ -444,7 +442,7 @@ class InferenceComponents:
             values[name] = value
         p = finite_array("gamma", 1).shape[0]
         if p == 0 and values["gamma_covariance"] == []:
-            # JSON writes the empty 0 x 0 matrix as []
+            # JSON cannot hold a 0 x 0 shape: it writes the empty matrix as []
             values["gamma_covariance"] = np.zeros((0, 0))
         if finite_array("gamma_covariance", 2).shape != (p, p):
             raise bad("gamma_covariance", f"a {p} x {p} matrix")
@@ -572,16 +570,15 @@ def report_rows(
     labels = list(fit.graph.actor_labels) + list(fit.graph.event_labels[:-1])
     estimates = [fit.params.alpha, fit.params.beta[: fit.n - 1]]
     ses = [node_se.alpha, node_se.beta]
-    if fit.covariates.p:
-        ci = coefficient_inference(fit, method)
-        blocks = [("gamma", ci.estimate)]
-        if bias_correct:
-            blocks.append(("gamma_bc", ci.estimate_bc))
-        for prefix, estimate in blocks:
-            names += [f"{prefix}:{k + 1}" for k in range(fit.covariates.p)]
-            labels += list(fit.covariates.names)
-            estimates.append(estimate)
-            ses.append(ci.standard_errors)
+    ci = coefficient_inference(fit, method)
+    blocks = [("gamma", ci.estimate)]
+    if bias_correct:
+        blocks.append(("gamma_bc", ci.estimate_bc))
+    for prefix, estimate in blocks:
+        names += [f"{prefix}:{k + 1}" for k in range(fit.covariates.p)]
+        labels += list(fit.covariates.names)
+        estimates.append(estimate)
+        ses.append(ci.standard_errors)
     estimate = np.concatenate(estimates)
     se = np.concatenate(ses)
     stat = estimate / se

@@ -211,7 +211,10 @@ class ReplicationRecord:
 
 def run_replication(scenario: Scenario, replication: int) -> ReplicationRecord:
     """Simulate, fit, and score one replication (deterministic in
-    ``(scenario.seed, replication)``)."""
+    ``(scenario.seed, replication)``).  A replication whose fit fails, or
+    whose inference at the estimate fails (``H`` not positive definite,
+    or the exact factorization of the Jacobian there failing), is
+    recorded as not converged."""
     rng = np.random.default_rng([scenario.seed, replication])
     family = get_family(scenario.family)
     truth = _scenario_truth(scenario)
@@ -219,9 +222,9 @@ def run_replication(scenario: Scenario, replication: int) -> ReplicationRecord:
     graph = simulate_network(truth, covariates, family, rng)
     try:
         result = fit(graph, covariates, family, FitOptions())
+        return _score_replication(scenario, replication, truth, result)
     except (FitError, IllPosedError):
         return ReplicationRecord(replication=replication, converged=False)
-    return _score_replication(scenario, replication, truth, result)
 
 
 def _score_replication(
@@ -258,17 +261,16 @@ def _score_replication(
         ci_hits[key] = bool(abs(est - true) <= Z_95 * se)
         ci_lengths[key] = 2.0 * Z_95 * se
 
-    if scenario.gamma_star:
-        coef = coefficient_inference(result, method="fisher")
-        for k in range(len(scenario.gamma_star)):
-            err = coef.estimate[k] - scenario.gamma_star[k]
-            err_bc = coef.estimate_bc[k] - scenario.gamma_star[k]
-            se = coef.standard_errors[k]
-            key = sys.intern(f"gamma:{k + 1}")
-            abs_errors[key] = abs(float(err))
-            ci_hits[key] = bool(abs(err) <= Z_95 * se)
-            ci_hits[sys.intern(f"gamma_bc:{k + 1}")] = bool(abs(err_bc) <= Z_95 * se)
-            ci_lengths[key] = 2.0 * Z_95 * float(se)
+    coef = coefficient_inference(result, method="fisher")
+    for k in range(len(scenario.gamma_star)):
+        err = coef.estimate[k] - scenario.gamma_star[k]
+        err_bc = coef.estimate_bc[k] - scenario.gamma_star[k]
+        se = coef.standard_errors[k]
+        key = sys.intern(f"gamma:{k + 1}")
+        abs_errors[key] = abs(float(err))
+        ci_hits[key] = bool(abs(err) <= Z_95 * se)
+        ci_hits[sys.intern(f"gamma_bc:{k + 1}")] = bool(abs(err_bc) <= Z_95 * se)
+        ci_lengths[key] = 2.0 * Z_95 * float(se)
 
     return ReplicationRecord(
         replication=replication,
@@ -310,8 +312,10 @@ class ScenarioSummary:
 def run_scenario(scenario: Scenario, workers: int = 1) -> ScenarioSummary:
     """Run all replications and aggregate.
 
-    Nonconverged replications are excluded from every aggregate and
-    surface only through the reported nonconvergence rate.  The reduction
+    A replication whose fit or whose inference at the estimate fails
+    counts as not converged (``run_replication``).  Nonconverged
+    replications are excluded from every aggregate and surface only
+    through the reported nonconvergence rate.  The reduction
     is ordered by replication index, so worker count never changes the
     result.  Fewer than one worker raises ``ConfigError``.
     """

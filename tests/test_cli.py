@@ -202,6 +202,17 @@ class TestFitCommand:
         # one predictor pass per evaluated point: the start and every trial
         assert counts["linear_predictor"] == 1 + sum(h + 1 for h in halvings)
 
+    @pytest.mark.parametrize("value", ["nan", "-1"])
+    def test_bad_min_degree_is_usage_error(self, fixture_dir, tmp_path, capsys, value):
+        out = tmp_path / "out"
+        rc = main(["fit", str(fixture_dir.edges), f"--min-degree={value}",
+                   "--out-dir", str(out)])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"min_degree must be a number >= 0, got {float(value)!r}" in err
+        assert "Traceback" not in err
+        assert not any(out.iterdir())
+
     def test_empty_delimiter_is_usage_error(self, tmp_path, capsys):
         edges = tmp_path / "edges.tsv"
         edges.write_text("u1\tm1\n")

@@ -372,6 +372,39 @@ class TestInnerSolve:
             solve_degree_params(np.zeros(0), graph, CovariateTensor.empty(3, 2),
                                 LOGISTIC)
 
+    @pytest.mark.parametrize("weights, message", [
+        ([[0, 0], [1, 1], [1, 0]], "actor 'a' has degree 0"),   # b is full: zeros first
+        ([[1, 0, 1], [0, 0, 1], [1, 0, 0]], "event 'y' has degree 0"),
+        ([[1, 1], [1, 0], [0, 1]], "actor 'a' is connected to every event"),
+        ([[1, 0, 0], [1, 1, 0], [1, 0, 1]], "event 'x' is connected to every actor"),
+    ])
+    def test_infeasible_degrees_name_the_first_node(self, weights, message):
+        graph = BipartiteGraph(np.array(weights, dtype=float), "abc", "xyz"[:len(weights[0])])
+        cov = CovariateTensor.empty(graph.m, graph.n)
+        expected = f"^{message}; the degree equations have no finite solution$"
+        for solve in (lambda: solve_degree_params(np.zeros(0), graph, cov, LOGISTIC),
+                      lambda: fit(graph, cov, LOGISTIC)):
+            with pytest.raises(NonExistenceError, match=expected):
+                solve()
+
+    def test_transposed_covariates_are_a_data_error(self, rng):
+        # the (6, 4) planes hold as many entries as the (4, 6) graph, so
+        # without the shape check the predictor would reshape them silently
+        graph, cov, _ = feasible_instance(rng, 4, 6, 1, LOGISTIC)
+        transposed = CovariateTensor(np.swapaxes(cov.values, 0, 1))
+        for solve in (lambda: solve_degree_params(np.zeros(1), graph, transposed, LOGISTIC),
+                      lambda: fit(graph, transposed, LOGISTIC)):
+            with pytest.raises(DataError, match=r"\(6, 4\) do not match .*\(4, 6\)"):
+                solve()
+
+    def test_non_binary_weights_under_logistic_are_a_data_error(self, rng):
+        graph, cov, _ = feasible_instance(rng, 5, 4, 0, POISSON)
+        assert not graph.is_binary
+        for solve in (lambda: solve_degree_params(np.zeros(0), graph, cov, LOGISTIC),
+                      lambda: fit(graph, cov, LOGISTIC)):
+            with pytest.raises(DataError, match="0/1 weight matrix"):
+                solve()
+
     def test_consistency_rate_monte_carlo(self):
         # at zero truth the shipped-family rate constant is
         # slope_max^2 * subexp / slope_min^3 = (1/16) / (1/64) = 4

@@ -228,6 +228,19 @@ class TestCoefficientCovariance:
         with pytest.raises(IllPosedError):
             coefficient_covariance(synthetic, "fisher")
 
+    @pytest.mark.parametrize("family", [LOGISTIC, POISSON])
+    @pytest.mark.parametrize("method", ["fisher", "sandwich"])
+    def test_inference_without_covariates_is_empty(self, rng, monkeypatch, family, method):
+        graph, cov, _ = feasible_instance(rng, 6, 5, 0, family)
+        result = fit(graph, cov, family)
+        # an empty bias term needs neither the curvatures nor V's inverse
+        monkeypatch.setattr(StructuredJacobian, "inverse_blocks", None)
+        monkeypatch.setattr(type(family), "mean_d2", None)
+        ci = coefficient_inference(result, method)
+        assert ci.covariance.shape == (0, 0)
+        for arr in (ci.estimate, ci.standard_errors, ci.b_star, ci.estimate_bc):
+            assert arr.shape == (0,)
+
     def test_unknown_method(self, rng):
         graph, cov, _ = feasible_instance(rng, 5, 4, 1, LOGISTIC)
         result = fit(graph, cov, LOGISTIC)
@@ -685,6 +698,13 @@ class TestReports:
             assert 0.0 <= r.p_value <= 1.0
             assert r.ci_low < r.ci_high
             assert r.se > 0
+
+    @pytest.mark.parametrize("bias_correct", [True, False])
+    def test_rows_without_covariates(self, rng, bias_correct):
+        graph, cov, _ = feasible_instance(rng, 6, 5, 0, LOGISTIC)
+        rows = report_rows(fit(graph, cov, LOGISTIC), bias_correct=bias_correct)
+        assert [r.name for r in rows] == (
+            [f"alpha:{i}" for i in range(1, 7)] + [f"beta:{j}" for j in range(1, 5)])
 
     def test_bias_correction_rows_optional(self, rng):
         graph, cov, _ = feasible_instance(rng, 6, 5, 1, LOGISTIC)

@@ -24,7 +24,8 @@ from bimoment import (
     simulate_network,
 )
 from bimoment import simlab
-from bimoment.errors import ModelDegeneracyError
+from bimoment.errors import IllPosedError, ModelDegeneracyError, SingularJacobianError
+from bimoment.inference import coefficient_inference
 from bimoment.simlab import (
     Z_95,
     density_level_menu,
@@ -266,6 +267,39 @@ class TestRunScenario:
         monkeypatch.setattr(simlab, "fit", degenerate_fit)
         record = run_replication(self.SMALL, 0)
         assert not record.converged
+
+    @pytest.mark.parametrize("error", [IllPosedError, SingularJacobianError])
+    def test_failed_inference_is_a_failed_replication(self, monkeypatch, error):
+        # the inference at the estimate can fail after the fit succeeded:
+        # the information H, or the exact factorization of the Jacobian
+        calls = []
+
+        def failing_inference(result, method="fisher"):
+            calls.append(method)
+            if len(calls) % 3 == 0:
+                raise error("inference at the estimate failed")
+            return coefficient_inference(result, method)
+
+        monkeypatch.setattr(simlab, "coefficient_inference", failing_inference)
+        scenario = Scenario(m=30, n=24, L=0.0, gamma_star=(0.5, 1.0),
+                            replications=30, seed=31)
+        summary = run_scenario(scenario)
+        assert len(calls) == 30
+        assert summary.converged == 20
+        assert summary.nonconvergence_rate == pytest.approx(1.0 / 3.0)
+
+    def test_replication_without_covariates(self, monkeypatch):
+        # an empty bias term evaluates no curvature
+        monkeypatch.setattr(type(LOGISTIC), "mean_d2", None)
+        scenario = Scenario(m=20, n=16, L=0.0, gamma_star=(), scheme="none", seed=4)
+        record = run_replication(scenario, 0)
+        assert record.converged
+        degree_keys = ["alpha:1", "alpha:10", "alpha:20", "beta:1", "beta:8", "beta:15"]
+        assert list(record.abs_errors) == degree_keys
+        assert list(record.zeta) == degree_keys
+        pairs = ["alpha:1-alpha:2", "alpha:10-alpha:11", "alpha:19-alpha:20"]
+        assert list(record.ci_hits) == pairs
+        assert list(record.ci_lengths) == pairs
 
     def test_coefficient_error_much_smaller_than_node_error(self):
         scenario = Scenario(m=60, n=50, L=0.0, gamma_star=(0.5, 1.0),
