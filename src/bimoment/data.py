@@ -561,11 +561,11 @@ def save_edge_list(graph: BipartiteGraph, path, delimiter: str = "\t"):
         fh.write(text)
 
 
-def load_attribute_table(path, delimiter: str = "\t", id_column: str = None) -> NodeAttributeTable:
+def load_attribute_table(path, delimiter: str = "\t") -> NodeAttributeTable:
     """Read a delimited table with a header row into a node-attribute table.
 
-    The id column defaults to the first header entry; every column name
-    and every node must appear exactly once.  A file that is not valid
+    The first header entry names the id column; every column name and
+    every node must appear exactly once.  A file that is not valid
     UTF-8 raises ``DataError``.
     """
     _check_delimiter(delimiter)
@@ -578,11 +578,6 @@ def load_attribute_table(path, delimiter: str = "\t", id_column: str = None) -> 
             repeated = next((h for k, h in enumerate(header) if h in header[:k]), None)
             if repeated is not None:
                 raise DataError(f"header repeats column {repeated!r}", line_number=1)
-            if id_column is None:
-                id_column = header[0]
-            if id_column not in header:
-                raise ConfigError(f"id column {id_column!r} not in header {header}")
-            id_pos = header.index(id_column)
             rows = {}
             for lineno, raw in enumerate(fh, start=2):
                 line = raw.rstrip("\n").rstrip("\r")
@@ -594,16 +589,13 @@ def load_attribute_table(path, delimiter: str = "\t", id_column: str = None) -> 
                         f"expected {len(header)} columns, got {len(parts)}",
                         line_number=lineno,
                     )
-                node = parts[id_pos].strip()
+                node = parts[0].strip()
                 if node in rows:
                     raise DataError(f"duplicate node id {node!r}", line_number=lineno)
-                rows[node] = {
-                    col: parts[k].strip() for k, col in enumerate(header) if k != id_pos
-                }
+                rows[node] = {col: part.strip() for col, part in zip(header[1:], parts[1:])}
     except UnicodeDecodeError:
         raise _not_utf8(path) from None
-    columns = tuple(c for c in header if c != id_column)
-    return NodeAttributeTable(columns=columns, rows=rows)
+    return NodeAttributeTable(columns=tuple(header[1:]), rows=rows)
 
 
 def filter_by_degree(

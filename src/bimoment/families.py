@@ -42,7 +42,12 @@ class ModelFamily(ABC):
     Subclasses set ``name``, ``support`` (one of ``binary``, ``count``,
     ``continuous-nonnegative``) and ``exponential_family``, and must keep
     ``mean_d1`` and ``variance`` strictly positive on the working domain:
-    the degree-equation Jacobian's matrix class depends on it.
+    the degree-equation Jacobian's matrix class depends on it.  Both are
+    checked where they are read: a slope that is not strictly positive
+    raises ``ModelDegeneracyError`` when the fit builds its Jacobian, and
+    a variance that is not, when inference first reads the degree-vector
+    covariance of a family outside the exponential class (for an
+    exponential family the variance is the slope and is not evaluated).
     """
 
     name: str

@@ -650,16 +650,22 @@ def solve_degree_params(
 
     It stops once ``|f|_inf <= options.tol``.  Returns ``(params, trace)``
     where ``trace`` is the sup-norm residual per iteration.  Its input is
-    checked as ``fit`` checks it (``_checked_degrees``).  Raises
-    ``NonExistenceError`` when the iteration diverges or takes more than
-    ``options.max_iter`` steps: by the theory a finite solution exists
-    only with high probability, and divergence is the observable
-    signature of the exceptional event.
+    checked as ``fit`` checks it (``_checked_degrees``), and a ``gamma``
+    not of length ``covariates.p`` or a ``warm_start`` not of length
+    m+n-1 raises ``DataError``.  Raises ``NonExistenceError`` when the
+    iteration diverges or takes more than ``options.max_iter`` steps: by
+    the theory a finite solution exists only with high probability, and
+    divergence is the observable signature of the exceptional event.
     """
     deg = _checked_degrees(graph, covariates, family)
-    theta = (np.zeros(graph.m + graph.n - 1) if warm_start is None
-             else np.array(warm_start, dtype=float))
+    dim = graph.m + graph.n - 1
+    theta = np.zeros(dim) if warm_start is None else np.array(warm_start, dtype=float)
     gamma = np.asarray(gamma, dtype=float).reshape(-1)
+    if gamma.shape != (covariates.p,):
+        raise DataError(f"gamma has length {gamma.shape[0]}, expected covariates.p = "
+                        f"{covariates.p}")
+    if theta.shape != (dim,):
+        raise DataError(f"warm_start has shape {theta.shape}, expected length m+n-1 = {dim}")
     params, _pi, _mu, _res, trace = _damped_newton(
         graph, covariates, family, deg, theta, gamma, options, free_gamma=False
     )

@@ -3,12 +3,14 @@
 Everything here is read from one state computed once per fit: the
 predictor and structured Jacobian ``V`` that ``fit`` leaves at the
 estimate, and ``FitResult.inference_cache``, which keeps read-only, from
-their first request on, the profiled information ``H`` with the solve
-``X_C = V^{-1} C^T`` it is formed from, the coefficient covariance of
-each method asked for, the bias term ``b_star`` with the corrected
-coefficients, the node standard errors and the degree-vector variances
-``u_diag`` and ``u_tail``.  Only these small results (at most (m+n-1)
-x p) are kept, never an m x n intermediate.
+their first request on, the covariance ``U`` of the degree vector, the
+profiled information ``H`` with the solve ``X_C = V^{-1} C^T`` it is
+formed from, the coefficient covariance of each method asked for, the
+bias term ``b_star`` with the corrected coefficients and the node
+standard errors.  Every variance is read from ``U``.  For exponential
+families ``U = V``, so ``U`` is the fit's own Jacobian and the state
+holds only small results (at most (m+n-1) x p); for other families
+``U`` holds the m x n edge variances, the one m x n array kept.
 
 The module provides standard errors for the degree parameters, the
 coefficient covariance (Fisher or sandwich form), the analytic
@@ -41,9 +43,12 @@ from .fitter import (
     FitResult,
     StructuredJacobian,
     approx_inverse,  # noqa: F401  re-exported; bench/tracer.py wraps it here by name
-    degree_sums,
     information_at,
 )
+
+# ndtri(0.975), the two-sided 95% normal quantile, written out so that
+# importing the module does not load scipy.special
+Z_95 = 1.959963984540054
 
 
 def _once_per_fit(compute):
@@ -73,26 +78,17 @@ def exact_inverse_apply(jacobian: StructuredJacobian, vec: np.ndarray) -> np.nda
     return jacobian.solve(vec)
 
 
-def _edge_variances(fit: FitResult) -> np.ndarray:
-    """The m x n edge-weight variances at the estimate.  For exponential
-    families the variance function is the mean slope, so these are the
-    slopes of the fit's Jacobian, the same values ``family.variance``
-    would compute again from the predictor."""
-    if fit.family.exponential_family:
-        return fit.jacobian.slopes
-    return fit.family.variance(fit.predictor)
-
-
 @_once_per_fit
-def _degree_variances(fit: FitResult):
-    """Entries of Cov(degree vector) at the fitted parameters: per-row
-    diagonal ``u_diag`` (length m+n-1) and ``u_tail`` for the dropped
-    event.  For exponential families they are the Jacobian's own
-    (read-only) ``diag`` and ``v_tail``."""
+def _degree_covariance(fit: FitResult) -> StructuredJacobian:
+    """``U``, the covariance of the degree vector at the estimate, in the
+    structured form of ``V`` with the edge variances as its slopes.  For
+    exponential families the variance function is the mean slope, so
+    ``U = V`` is the fit's own Jacobian; otherwise ``family.variance``
+    runs once per fit, and a variance that is not strictly positive
+    raises ``ModelDegeneracyError``."""
     if fit.family.exponential_family:
-        return fit.jacobian.diag, fit.jacobian.v_tail
-    var = fit.family.variance(fit.predictor)
-    return _read_only(degree_sums(var)), float(var[:, -1].sum())
+        return fit.jacobian
+    return StructuredJacobian(fit.family.variance(fit.predictor))
 
 
 def _degree_se(u_diag, v_diag, u_tail, v_tail, slot, other=None):
@@ -121,9 +117,8 @@ class NodeStandardErrors:
 def node_standard_errors(fit: FitResult) -> NodeStandardErrors:
     """Standard errors of the fitted degree parameters, as
     ``InferenceComponents.degree_se`` computes each."""
-    jac = fit.jacobian
-    u_diag, u_tail = _degree_variances(fit)
-    se = _read_only(_degree_se(u_diag, jac.diag, u_tail, jac.v_tail, slice(None)))
+    jac, u = fit.jacobian, _degree_covariance(fit)
+    se = _read_only(_degree_se(u.diag, jac.diag, u.v_tail, jac.v_tail, slice(None)))
     return NodeStandardErrors(alpha=se[: fit.m], beta=se[fit.m :])
 
 
@@ -140,7 +135,7 @@ def score_terms(fit: FitResult) -> np.ndarray:
     k = _linearization(fit)[1].T  # p x (m+n-1)
     ztilde = fit.covariates.planes - k[:, :m, None]
     ztilde[:, :, :-1] -= k[:, None, m:]
-    _actor, _event, sigma = plane_moments(ztilde, _edge_variances(fit))
+    _actor, _event, sigma = plane_moments(ztilde, _degree_covariance(fit).slopes)
     return sigma
 
 
@@ -227,7 +222,7 @@ def incidental_bias_general(fit: FitResult) -> np.ndarray:
     """
     jac = fit.jacobian
     m = fit.m
-    u = StructuredJacobian(fit.family.variance(fit.predictor)).dense()
+    u = _degree_covariance(fit).dense()
     v_inv = jac.solve(np.eye(jac.dim))
     w = v_inv @ u @ v_inv
     w = 0.5 * (w + w.T)
@@ -451,8 +446,7 @@ class InferenceComponents:
 
 def components_from_fit(fit: FitResult, method: str = "fisher") -> InferenceComponents:
     """Extract the Wald-test components from a converged fit."""
-    jac = fit.jacobian
-    u_diag, u_tail = _degree_variances(fit)
+    jac, u = fit.jacobian, _degree_covariance(fit)
     return InferenceComponents(
         m=fit.m,
         n=fit.n,
@@ -460,8 +454,8 @@ def components_from_fit(fit: FitResult, method: str = "fisher") -> InferenceComp
         gamma=fit.params.gamma,
         v_diag=jac.diag,
         v_tail=jac.v_tail,
-        u_diag=u_diag,
-        u_tail=u_tail,
+        u_diag=u.diag,
+        u_tail=u.v_tail,
         gamma_covariance=_covariance(fit, method),
     )
 
@@ -553,17 +547,15 @@ class ReportRow:
 def report_rows(
     fit: FitResult,
     method: str = "fisher",
-    level: float = 0.95,
     bias_correct: bool = True,
 ) -> list:
     """Full inference report: every free parameter plus (optionally)
     bias-corrected coefficients, each with estimate, SE, Wald statistic
-    against zero, p-value, and confidence bounds."""
+    against zero, p-value, and 95% confidence bounds."""
     # imported here: loading scipy.special adds about 3.6 MB to a process,
     # and fits and Monte-Carlo replications never need it
-    from scipy.special import ndtr, ndtri
+    from scipy.special import ndtr
 
-    zcrit = float(ndtri(0.5 * (1.0 + level)))
     node_se = node_standard_errors(fit)
     names = [f"alpha:{i + 1}" for i in range(fit.m)]
     names += [f"beta:{j + 1}" for j in range(fit.n - 1)]
@@ -590,8 +582,8 @@ def report_rows(
         se.tolist(),
         stat.tolist(),
         (2.0 * ndtr(-np.abs(stat))).tolist(),
-        (estimate - zcrit * se).tolist(),
-        (estimate + zcrit * se).tolist(),
+        (estimate - Z_95 * se).tolist(),
+        (estimate + Z_95 * se).tolist(),
     ))
 
 

@@ -30,11 +30,7 @@ from .data import BipartiteGraph, CovariateTensor
 from .errors import ConfigError, FitError, IllPosedError
 from .families import POISSON_ETA_CAP, ModelFamily, get_family
 from .fitter import FitOptions, FitResult, ParameterSet, fit
-from .inference import coefficient_inference, components_from_fit
-
-# ndtri(0.975), the two-sided 95% normal quantile, written out so that
-# importing the module does not load scipy.special
-Z_95 = 1.959963984540054
+from .inference import Z_95, coefficient_inference, components_from_fit
 
 # covariate scheme -> number of covariates it draws
 COVARIATE_SCHEMES = {"sign-product-2d": 2, "none": 0}
@@ -315,9 +311,10 @@ def run_scenario(scenario: Scenario, workers: int = 1) -> ScenarioSummary:
     A replication whose fit or whose inference at the estimate fails
     counts as not converged (``run_replication``).  Nonconverged
     replications are excluded from every aggregate and surface only
-    through the reported nonconvergence rate.  The reduction
-    is ordered by replication index, so worker count never changes the
-    result.  Fewer than one worker raises ``ConfigError``.
+    through the reported nonconvergence rate.  The reduction is ordered
+    by replication index (``pool.map`` returns results in input order),
+    so worker count never changes the result.  Fewer than one worker
+    raises ``ConfigError``.
     """
     if workers < 1:
         raise ConfigError(f"workers must be at least 1, got {workers}")
@@ -330,7 +327,6 @@ def run_scenario(scenario: Scenario, workers: int = 1) -> ScenarioSummary:
                                     reps, chunksize=8))
     else:
         records = [run_replication(scenario, r) for r in reps]
-    records.sort(key=lambda rec: rec.replication)
     good = [rec for rec in records if rec.converged]
 
     def mean_over(field_name):
@@ -365,7 +361,7 @@ def ks_normality(samples) -> tuple:
     Returns ``(statistic, p_value)`` with the asymptotic p-value.  Needs
     at least 30 samples for the asymptotic formula to be meaningful.
     """
-    from scipy.special import kolmogorov, ndtr  # see Z_95
+    from scipy.special import kolmogorov, ndtr  # see inference.Z_95
 
     x = np.asarray(samples, dtype=float).reshape(-1)
     if x.size < 30:

@@ -405,6 +405,14 @@ class TestInnerSolve:
             with pytest.raises(DataError, match="0/1 weight matrix"):
                 solve()
 
+    def test_mismatched_lengths_are_a_data_error(self, rng):
+        graph, cov, _ = feasible_instance(rng, 5, 4, 1, LOGISTIC)
+        with pytest.raises(DataError, match=r"^gamma has length 2, expected covariates\.p = 1$"):
+            solve_degree_params(np.zeros(2), graph, cov, LOGISTIC)
+        with pytest.raises(DataError, match=r"^warm_start has shape \(3,\), expected length "
+                                            r"m\+n-1 = 8$"):
+            solve_degree_params(np.zeros(1), graph, cov, LOGISTIC, warm_start=np.zeros(3))
+
     def test_consistency_rate_monte_carlo(self):
         # at zero truth the shipped-family rate constant is
         # slope_max^2 * subexp / slope_min^3 = (1/16) / (1/64) = 4

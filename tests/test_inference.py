@@ -14,6 +14,7 @@ from scipy.stats import norm
 from bimoment import (
     CovariateTensor,
     IllPosedError,
+    ModelDegeneracyError,
     ModelFamily,
     MomentResiduals,
     ParameterSet,
@@ -363,6 +364,34 @@ class TestNonExponentialFamily:
             assert len(rows) == graph.m + graph.n - 1 + 2 * cov.p
             assert all(math.isfinite(r.p_value) and r.se > 0 for r in rows)
 
+    @pytest.mark.parametrize("p", [2, 0])
+    def test_variance_runs_once_per_fit(self, rng, monkeypatch, p):
+        family = ScaledVarianceLogistic()
+        graph, cov, _ = feasible_instance(rng, 10, 8, p, LOGISTIC)
+        result = fit(graph, cov, family)
+        shapes = []
+        variance = ScaledVarianceLogistic.variance
+
+        def counted(self, eta):
+            shapes.append(eta.shape)
+            return variance(self, eta)
+
+        monkeypatch.setattr(ScaledVarianceLogistic, "variance", counted)
+        for method in ("fisher", "sandwich"):
+            report_rows(result, method)
+            components_from_fit(result, method)
+            node_standard_errors(result)
+            coefficient_inference(result, method)
+        assert shapes == [(10, 8)]
+
+    def test_non_positive_variance_is_degenerate(self, rng, monkeypatch):
+        graph, cov, _ = feasible_instance(rng, 10, 8, 1, LOGISTIC)
+        result = fit(graph, cov, ScaledVarianceLogistic())
+        monkeypatch.setattr(ScaledVarianceLogistic, "c", 0.0)
+        for read in (node_standard_errors, components_from_fit, score_terms):
+            with pytest.raises(ModelDegeneracyError, match="strictly positive"):
+                read(result)
+
 
 def from_scratch(result, method):
     """Everything the inference state caches, recomputed from the fitted
@@ -443,6 +472,7 @@ class TestInferenceState:
         assert np.array_equal(comp.u_diag, plain_comp.u_diag)
         assert comp.u_tail == plain_comp.u_tail
         assert not result.jacobian.diag.flags.writeable
+        assert inference._degree_covariance(result) is result.jacobian
 
     def test_fit_linearization_matches_parameters(self, rng):
         graph, cov, _ = feasible_instance(rng, 10, 14, 2, POISSON)
@@ -469,10 +499,10 @@ class TestInferenceState:
                 return [arr for item in value for arr in arrays_in(item)]
             return []
 
-        # u_diag, the node SEs of both sides, H, X_C, two covariances,
-        # b_star, gamma_bc
+        # the node SEs of both sides, H, X_C, two covariances, b_star,
+        # gamma_bc; U is the fit's own Jacobian
         arrays = arrays_in(tuple(result.inference_cache.values()))
-        assert len(arrays) == 9
+        assert len(arrays) == 8
         for arr in arrays:
             assert not arr.flags.writeable
             assert arr.size <= max(cov.p**2, (graph.m + graph.n - 1) * cov.p)
@@ -723,13 +753,12 @@ class TestReports:
         header = a.decode().splitlines()[0]
         assert header.split("\t") == list(REPORT_HEADER)
 
-    def test_confidence_level_quantile(self, rng):
+    def test_confidence_bounds_use_the_95_quantile(self, rng):
+        assert inference.Z_95 == float(ndtri(0.975))
         graph, cov, _ = feasible_instance(rng, 5, 4, 1, LOGISTIC)
-        result = fit(graph, cov, LOGISTIC)
-        rows = report_rows(result, level=0.9)
-        z = norm.ppf(0.95)
-        r = rows[0]
-        assert r.ci_high - r.estimate == pytest.approx(z * r.se, rel=1e-9)
+        for r in report_rows(fit(graph, cov, LOGISTIC)):
+            assert r.ci_low == r.estimate - inference.Z_95 * r.se, r.name
+            assert r.ci_high == r.estimate + inference.Z_95 * r.se, r.name
 
 
 def same_bits(a, b):
