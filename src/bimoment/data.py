@@ -25,7 +25,15 @@ from .errors import ConfigError, DataError
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
-    """A read-only C-contiguous float copy of ``arr``."""
+    """``arr`` as a read-only C-contiguous float array.  An array that is
+    one already, and whose memory no writeable array shares (its base, if
+    any, is a read-only array too), is adopted as it is; anything else is
+    copied, so a caller's later writes never reach the container."""
+    if (type(arr) is np.ndarray and arr.dtype == np.float64 and arr.flags.c_contiguous
+            and not arr.flags.writeable
+            and (arr.base is None
+                 or (type(arr.base) is np.ndarray and not arr.base.flags.writeable))):
+        return arr
     out = np.array(arr, dtype=float, order="C", copy=True)
     out.setflags(write=False)
     return out
@@ -106,7 +114,10 @@ class CovariateTensor:
     The data are stored once, as ``planes``: a read-only C-contiguous
     (p, m, n) array whatever the input's memory order, so each covariate
     ``z_k`` is one contiguous m x n plane, and ``rows`` is its (p, m*n)
-    view.  ``values`` is the (m, n, p) view of the same memory.  Every
+    view.  ``values`` is the (m, n, p) view of the same memory.  Input
+    whose (p, m, n) transpose is such an array already, read-only and
+    sharing no writeable memory (as ``build_match_covariates`` builds it),
+    is adopted without a copy; any other input is copied.  Every
     contraction of ``z`` is a BLAS product on the rows: ``gamma @ rows``
     in the predictor, ``total(w)`` and ``plane_moments``.
     """
@@ -679,6 +690,8 @@ def build_match_covariates(
             labels.append(mapping.groups[value])
         codes = np.unique(np.array(labels), return_inverse=True)[1].reshape(-1)
         np.equal(codes[:m, None], codes[None, m:], out=plane, casting="unsafe")
+    # read-only and referenced nowhere else, so the tensor adopts the planes
+    planes.setflags(write=False)
     return CovariateTensor(
         values=np.moveaxis(planes, 0, 2), bound=1.0, names=tuple(mp.name for mp in mappings)
     )

@@ -41,8 +41,10 @@ BLAS product on the per-covariate planes of ``CovariateTensor``, which
 says which product each one is; ``C`` and ``A`` share one pass.
 
 The factorizations and their solves call LAPACK ``dpotrf``/``dpotrs``
-from scipy's compiled module, which ``_load_lapack`` reads from its file
-so that importing the package runs no scipy package ``__init__``.
+from scipy's compiled module ``scipy.linalg._flapack``, which
+``load_compiled`` reads from its file so that importing the package runs
+no scipy package ``__init__``; inference takes the normal tail ``ndtr``
+from ``scipy.special._special_ufuncs`` through the same loader.
 
 A solution need not exist (a zero-degree actor under a positive mean
 function, for instance); divergence is detected and reported as
@@ -76,37 +78,37 @@ from .errors import (
 from .families import ModelFamily
 
 
-def _load_lapack():
-    """``dpotrf`` and ``dpotrs`` from scipy's compiled LAPACK module, loaded
-    from its file so that neither ``scipy/__init__.py`` nor
-    ``scipy/linalg/__init__.py`` runs (the latter's array-API layer would
-    double a process's start-up time and memory).  The module is registered
-    under its own name, so ``scipy.linalg.lapack`` exports the same objects
-    whichever is imported first.  Where the direct load fails, as where
-    scipy's ``__init__`` must first set up library paths, the public import
-    is used."""
-    name = "scipy.linalg._flapack"
+def load_compiled(name: str):
+    """The compiled scipy module ``name`` (such as ``scipy.linalg._flapack``),
+    loaded from its file so that no scipy package ``__init__`` runs
+    (``scipy.linalg``'s and ``scipy.special``'s load scipy's array-API
+    layer, which would double a process's start-up time and memory).  The
+    module is registered under its own name, so the package exports the
+    same objects whichever is imported first.  Raises ``ImportError`` where
+    there is no such file; the callers then use the public import, as they
+    must where scipy's ``__init__`` first sets up library paths."""
     module = sys.modules.get(name)
     if module is None:
-        try:
-            scipy_spec = importlib.util.find_spec("scipy")
-            if scipy_spec is None or not scipy_spec.submodule_search_locations:
-                raise ImportError("scipy is not installed as a package directory")
-            linalg_dir = os.path.join(scipy_spec.submodule_search_locations[0], "linalg")
-            finder = FileFinder(linalg_dir, (ExtensionFileLoader, EXTENSION_SUFFIXES))
-            spec = finder.find_spec(name)
-            if spec is None:
-                raise ImportError(f"{name} not found in {linalg_dir}")
-            module = importlib.util.module_from_spec(spec)
-            spec.loader.exec_module(module)
-        except ImportError:
-            from scipy.linalg.lapack import dpotrf, dpotrs
-            return dpotrf, dpotrs
+        scipy_spec = importlib.util.find_spec("scipy")
+        if scipy_spec is None or not scipy_spec.submodule_search_locations:
+            raise ImportError("scipy is not installed as a package directory")
+        directory = os.path.join(scipy_spec.submodule_search_locations[0],
+                                 *name.split(".")[1:-1])
+        finder = FileFinder(directory, (ExtensionFileLoader, EXTENSION_SUFFIXES))
+        spec = finder.find_spec(name)
+        if spec is None:
+            raise ImportError(f"{name} not found in {directory}")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
         sys.modules[name] = module
-    return module.dpotrf, module.dpotrs
+    return module
 
 
-dpotrf, dpotrs = _load_lapack()
+try:
+    _flapack = load_compiled("scipy.linalg._flapack")
+    dpotrf, dpotrs = _flapack.dpotrf, _flapack.dpotrs
+except ImportError:
+    from scipy.linalg.lapack import dpotrf, dpotrs
 
 # glibc's malloc raises its heap trim threshold to twice the largest
 # mmap-backed block freed so far.  Below about 1 MB, the heap a (100, 100)

@@ -38,17 +38,31 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import plane_moments
-from .errors import ConfigError
+from .errors import ConfigError, ModelDegeneracyError
 from .fitter import (
     FitResult,
     StructuredJacobian,
     approx_inverse,  # noqa: F401  re-exported; bench/tracer.py wraps it here by name
     information_at,
+    load_compiled,
 )
 
 # ndtri(0.975), the two-sided 95% normal quantile, written out so that
 # importing the module does not load scipy.special
 Z_95 = 1.959963984540054
+
+
+@functools.cache
+def _ndtr():
+    """scipy's standard normal CDF ``ndtr``, the function ``scipy.stats.norm``
+    evaluates itself, loaded on first use from its compiled module so that
+    no scipy.special package ``__init__`` runs; where that module is missing
+    or has no ``ndtr`` (older scipy), from ``scipy.special``."""
+    try:
+        return load_compiled("scipy.special._special_ufuncs").ndtr
+    except (ImportError, AttributeError):
+        from scipy.special import ndtr
+        return ndtr
 
 
 def _once_per_fit(compute):
@@ -88,7 +102,12 @@ def _degree_covariance(fit: FitResult) -> StructuredJacobian:
     raises ``ModelDegeneracyError``."""
     if fit.family.exponential_family:
         return fit.jacobian
-    return StructuredJacobian(fit.family.variance(fit.predictor))
+    try:
+        return StructuredJacobian(fit.family.variance(fit.predictor))
+    except ModelDegeneracyError:
+        raise ModelDegeneracyError(
+            "edge variances must be finite and strictly positive over all pairs"
+        ) from None
 
 
 def _degree_se(u_diag, v_diag, u_tail, v_tail, slot, other=None):
@@ -501,10 +520,8 @@ def wald_from_components(
         slot_b = theta_slot(contrast.kind, contrast.other_index)
         estimate = float(comp.theta[slot_a] - comp.theta[slot_b])
         se = comp.degree_se(slot_a, slot_b)
-    from scipy.special import ndtr  # see report_rows
-
     statistic = (estimate - null_value) / se
-    p_value = 2.0 * float(ndtr(-abs(statistic)))
+    p_value = 2.0 * float(_ndtr()(-abs(statistic)))
     described = Contrast(
         kind=contrast.kind,
         index=contrast.index,
@@ -552,10 +569,6 @@ def report_rows(
     """Full inference report: every free parameter plus (optionally)
     bias-corrected coefficients, each with estimate, SE, Wald statistic
     against zero, p-value, and 95% confidence bounds."""
-    # imported here: loading scipy.special adds about 3.6 MB to a process,
-    # and fits and Monte-Carlo replications never need it
-    from scipy.special import ndtr
-
     node_se = node_standard_errors(fit)
     names = [f"alpha:{i + 1}" for i in range(fit.m)]
     names += [f"beta:{j + 1}" for j in range(fit.n - 1)]
@@ -581,7 +594,7 @@ def report_rows(
         estimate.tolist(),
         se.tolist(),
         stat.tolist(),
-        (2.0 * ndtr(-np.abs(stat))).tolist(),
+        (2.0 * _ndtr()(-np.abs(stat))).tolist(),
         (estimate - Z_95 * se).tolist(),
         (estimate + Z_95 * se).tolist(),
     ))

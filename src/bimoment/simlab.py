@@ -361,7 +361,9 @@ def ks_normality(samples) -> tuple:
     Returns ``(statistic, p_value)`` with the asymptotic p-value.  Needs
     at least 30 samples for the asymptotic formula to be meaningful.
     """
-    from scipy.special import kolmogorov, ndtr  # see inference.Z_95
+    # the public import: kolmogorov's compiled module, scipy.special._ufuncs,
+    # imports from itself as it loads, so it cannot be loaded from its file
+    from scipy.special import kolmogorov, ndtr
 
     x = np.asarray(samples, dtype=float).reshape(-1)
     if x.size < 30:

@@ -615,15 +615,47 @@ class TestEnvironmentOverrides:
         assert "Traceback" not in err
 
 
+def loaded_modules(code):
+    """The scipy, concurrent and multiprocessing modules a fresh process
+    has loaded after running ``code``."""
+    src = Path(bimoment.__file__).resolve().parents[1]
+    code += ("\nimport sys; print('loaded:', *sorted(m for m in sys.modules"
+             " if m.split('.')[0] in ('scipy', 'concurrent', 'multiprocessing')))")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    return run.stdout.splitlines()[-1].split()[1:]
+
+
 def test_import_set():
     # the only scipy module the package loads is the compiled LAPACK module,
     # straight from its file: scipy.linalg's package __init__ (through
     # scipy._lib's array-API layer) would double a process's start-up time
-    # and memory, scipy.special loads only for p-values, and scipy.stats only
-    # in the tests.  The process pool loads only for a study that uses one.
-    src = Path(bimoment.__file__).resolve().parents[1]
-    code = ("import sys, bimoment, bimoment.cli; print(*sorted(m for m in sys.modules"
-            " if m.split('.')[0] in ('scipy', 'concurrent', 'multiprocessing')))")
-    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": str(src)}, check=True)
-    assert run.stdout.split() == ["scipy.linalg._flapack"]
+    # and memory, and scipy.stats is used only in the tests.  The process
+    # pool loads only for a study that uses one.
+    assert loaded_modules("import bimoment, bimoment.cli") == ["scipy.linalg._flapack"]
+
+
+def _direct_ndtr():
+    try:
+        import scipy.special._special_ufuncs as ufuncs
+    except ImportError:
+        return False
+    return hasattr(ufuncs, "ndtr")
+
+
+@pytest.mark.skipif(not _direct_ndtr(), reason="this scipy has no ndtr in "
+                    "scipy.special._special_ufuncs, so p-values import scipy.special")
+def test_fit_and_test_import_set(fixture_dir, tmp_path):
+    # the p-values of a report and of a Wald test take ndtr from its compiled
+    # module, straight from its file like LAPACK: scipy.special's package
+    # __init__ loads the same array-API layer as scipy.linalg's
+    fit_args = ["fit", str(fixture_dir.edges), "--actor-attrs", str(fixture_dir.actor_attrs),
+                "--event-attrs", str(fixture_dir.event_attrs), "--mapping",
+                str(fixture_dir.mapping), "--min-degree", str(fixture_dir.min_degree),
+                "--out-dir", str(tmp_path / "fit")]
+    test_args = ["test", str(tmp_path / "fit" / "fit.json"), "--contrast", "gamma:1=0",
+                 "--contrast", "alpha:1-alpha:2", "--out-dir", str(tmp_path / "test")]
+    code = (f"from bimoment.cli import main\n"
+            f"assert main({fit_args!r}) == 0 and main({test_args!r}) == 0")
+    assert loaded_modules(code) == ["scipy.linalg._flapack", "scipy.special._special_ufuncs"]
+    assert (tmp_path / "test" / "tests.tsv").read_text().count("\n") == 3

@@ -517,6 +517,26 @@ class TestCovariateTensor:
             assert np.shares_memory(tensor.values, tensor.planes)
 
 
+    def test_writeable_input_is_copied(self):
+        planes = np.arange(2 * 3 * 4, dtype=float).reshape(2, 3, 4)
+        read_only_view = planes.view()
+        read_only_view.setflags(write=False)
+        for values in (np.moveaxis(planes, 0, 2), np.moveaxis(read_only_view, 0, 2)):
+            tensor = CovariateTensor(values)
+            before = tensor.planes.copy()
+            planes += 1.0
+            assert np.array_equal(tensor.planes, before)
+            assert not np.shares_memory(tensor.planes, planes)
+
+    def test_read_only_planes_are_adopted(self):
+        planes = np.arange(2 * 3 * 4, dtype=float).reshape(2, 3, 4).copy()
+        planes.setflags(write=False)
+        tensor = CovariateTensor(np.moveaxis(planes, 0, 2))
+        assert np.shares_memory(tensor.planes, planes)
+        assert np.array_equal(tensor.planes, planes)
+        assert tensor.planes.flags.c_contiguous and not tensor.planes.flags.writeable
+
+
 def einsum_contractions(z, w, gamma):
     """The covariate contractions as ``np.einsum`` computes them: the
     oracle the BLAS products of ``CovariateTensor`` are checked against."""
@@ -621,6 +641,14 @@ class TestMatchCovariates:
         assert np.array_equal(tensor.values[:, :, 0], expected_sex)
         assert np.array_equal(tensor.values[:, :, 1], expected_age)
         assert tensor.p == 2
+
+    def test_planes_are_adopted_without_a_copy(self):
+        tensor = build_match_covariates(
+            self.GRAPH, self.ACTORS, self.EVENTS, [self.SEX_MAP, self.AGE_MAP]
+        )
+        # a view of the builder's own read-only array, not a copy of it
+        assert tensor.planes.base is not None and not tensor.planes.base.flags.writeable
+        assert tensor.planes.flags.c_contiguous and not tensor.planes.flags.writeable
 
     def test_output_is_binary_with_unit_bound(self):
         tensor = build_match_covariates(

@@ -312,13 +312,21 @@ class TestDirectLapack:
                               env={**os.environ, "PYTHONPATH": str(src)}, check=True).stdout
 
     @pytest.mark.parametrize("first, second", [("scipy.linalg", "bimoment"),
-                                               ("bimoment", "scipy.linalg")])
+                                               ("bimoment", "scipy.linalg"),
+                                               ("scipy.special", "bimoment"),
+                                               ("bimoment", "scipy.special")])
     def test_routines_are_scipy_exports(self, first, second):
-        # the compiled module is loaded once, whichever package imports it first
+        # each compiled module is loaded once, whichever package imports it
+        # first; inference loads ndtr on first use, so it is taken between
         self.run_fresh(
-            f"import {first}; import {second}\n"
-            "import scipy.linalg.lapack as lapack, bimoment.fitter as fitter\n"
-            "assert fitter.dpotrf is lapack.dpotrf and fitter.dpotrs is lapack.dpotrs\n")
+            f"import {first}\n"
+            "import bimoment.inference as inference\n"
+            "ndtr = inference._ndtr()\n"
+            f"import {second}\n"
+            "import scipy.linalg.lapack as lapack, scipy.special as special\n"
+            "import bimoment.fitter as fitter\n"
+            "assert fitter.dpotrf is lapack.dpotrf and fitter.dpotrs is lapack.dpotrs\n"
+            "assert ndtr is special.ndtr\n")
 
     def test_public_import_when_direct_load_fails(self):
         # a lookup that finds no scipy directory makes the direct load fail

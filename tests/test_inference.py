@@ -389,7 +389,7 @@ class TestNonExponentialFamily:
         result = fit(graph, cov, ScaledVarianceLogistic())
         monkeypatch.setattr(ScaledVarianceLogistic, "c", 0.0)
         for read in (node_standard_errors, components_from_fit, score_terms):
-            with pytest.raises(ModelDegeneracyError, match="strictly positive"):
+            with pytest.raises(ModelDegeneracyError, match="edge variances"):
                 read(result)
 
 
@@ -799,3 +799,28 @@ class TestNormalFunctions:
         for contrast in ("alpha:1", "beta:1-beta:2", "gamma:1=0.3"):
             test = wald_from_components(comp, contrast)
             assert test.p_value == 2.0 * float(norm.sf(abs(test.statistic))), contrast
+
+    def test_public_ndtr_when_direct_load_fails(self, rng, monkeypatch):
+        import scipy.special
+        graph, cov, _ = feasible_instance(rng, 6, 5, 2, LOGISTIC)
+        result = fit(graph, cov, LOGISTIC)
+        comp = components_from_fit(result)
+        want = ([r.p_value for r in report_rows(result)],
+                wald_from_components(comp, "gamma:1").p_value)
+
+        tried = []
+
+        def no_module(name):
+            tried.append(name)
+            raise ImportError(name)
+
+        monkeypatch.setattr(inference, "load_compiled", no_module)
+        inference._ndtr.cache_clear()
+        try:
+            assert inference._ndtr() is scipy.special.ndtr
+            assert tried == ["scipy.special._special_ufuncs"]
+            got = ([r.p_value for r in report_rows(result)],
+                   wald_from_components(comp, "gamma:1").p_value)
+        finally:
+            inference._ndtr.cache_clear()
+        assert got == want

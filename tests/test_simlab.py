@@ -204,8 +204,8 @@ class TestRunScenario:
         assert simlab._node_labels(3, 2)[0] is actors
 
     def test_replication_does_not_load_scipy_special(self):
-        # scipy.special (about 3.6 MB) loads only for p-values and the KS test,
-        # and a serial study starts no process pool
+        # scipy.special and its compiled modules load only for p-values and
+        # the KS test, and a serial study starts no process pool
         src = Path(simlab.__file__).resolve().parents[1]
         code = ("import sys; "
                 "from bimoment.simlab import Scenario, run_replication, run_scenario; "
