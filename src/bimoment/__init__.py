@@ -59,7 +59,6 @@ from .inference import (
     score_terms,
     wald_from_components,
     wald_test,
-    write_report,
 )
 from .simlab import (
     ReplicationRecord,

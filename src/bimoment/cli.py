@@ -12,8 +12,10 @@ Three subcommands cover the whole pipeline:
 Every run writes a ``manifest.json`` recording the command, the resolved
 options, SHA-256 digests of all inputs, the seed (``null`` for ``fit``
 and ``test``, which draw no random numbers), the tool version, and the
-wall-clock time.  Outputs are plain delimited text with stable
-formatting: re-running a command reproduces them byte for byte.
+wall-clock time.  This module writes every output file: tables through
+``_table`` (tab-separated, floats to 10 significant digits) and JSON
+through ``_write_json`` (indent 2, sorted keys), so re-running a command
+reproduces its outputs byte for byte.
 
 ``fit`` solves to ``--tol`` within ``--max-iter`` Newton steps, whose
 defaults are those of ``FitOptions`` (1e-8 and 50).  It writes
@@ -33,9 +35,11 @@ Exit codes: 0 success, 2 config/parse error (including an input file
 that is not valid UTF-8, an empty delimiter, a ``--tol`` that is not
 finite and positive, a ``--max-iter`` below 1, a ``--threads`` below 1,
 a malformed scenario field, a fit report missing a Wald component, a
-null value that is not finite, or an environment override that does
-not parse), 3 fitting failure (any ``FitError``: no finite solution or
-no convergence), 4 ill-posed inference, 5 internal error.  Every ``fit``
+null value that is not finite, an environment override that does not
+parse, ``--actor-attrs`` or ``--event-attrs`` without ``--mapping``, or
+a mapping file that is not a list of well-typed match mappings), 3
+fitting failure (any ``FitError``: no finite solution or no
+convergence), 4 ill-posed inference, 5 internal error.  Every ``fit``
 flag but ``--actor-attrs``, ``--event-attrs`` and ``--mapping``, and
 ``simulate --threads`` and ``--out-dir``, can be supplied via an
 environment variable with the ``BIMOMENT_`` prefix (dashes become
@@ -49,12 +53,11 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import operator
 import os
 import sys
 import time
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from .data import (
@@ -75,13 +78,13 @@ from .families import get_family
 from .fitter import FitOptions, fit
 from .inference import (
     InferenceComponents,
+    ReportRow,
     coefficient_inference,
     components_from_fit,
     report_rows,
     wald_from_components,
-    write_report,
 )
-from .simlab import Scenario, run_scenario, write_qq_samples, write_summary_table
+from .simlab import Scenario, run_scenario
 
 ENV_PREFIX = "BIMOMENT_"
 _BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
@@ -92,6 +95,11 @@ EXIT_CONFIG = 2
 EXIT_NONEXISTENT = 3
 EXIT_ILL_POSED = 4
 EXIT_INTERNAL = 5
+
+# report.tsv's columns are ReportRow's fields; trace.tsv names its own
+# columns, which are not IterationRecord's field names
+REPORT_HEADER = tuple(f.name for f in dataclasses.fields(ReportRow))
+TRACE_HEADER = ("step", "halvings", "degree_norm", "covariate_norm", "linear_iterations")
 
 
 def _env_default(flag: str, fallback):
@@ -119,6 +127,26 @@ def _env_flag(flag: str, fallback: bool) -> bool:
     return value
 
 
+def _table(rows, header=None, comment=None) -> str:
+    """Tab-separated text: an optional ``# comment`` line, an optional
+    header, then one line per row.  A float is written to 10 significant
+    digits and any other value as ``str`` gives it, so identical values
+    give identical bytes."""
+    lines = [] if comment is None else [f"# {comment}"]
+    if header is not None:
+        lines.append("\t".join(header))
+    lines += ["\t".join(f"{v:.10g}" if isinstance(v, float) else str(v) for v in row)
+              for row in rows]
+    return "".join(line + "\n" for line in lines)
+
+
+def _write_json(path: Path, obj):
+    # streamed: json.dumps would hold all of fit.json's ~7000 pieces at once
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def _sha256(path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -139,9 +167,7 @@ def _write_manifest(out_dir: Path, command: str, options: dict, inputs, seed,
         "version": __version__,
         "wall_clock_s": round(time.perf_counter() - started, 3),
     }
-    with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out_dir / "manifest.json", manifest)
 
 
 def _load_json(path, what: str):
@@ -156,10 +182,12 @@ def _load_json(path, what: str):
 
 def _load_mappings(path) -> list:
     raw = _load_json(path, "mapping file")
-    if not isinstance(raw, dict) or "mappings" not in raw:
-        raise ConfigError(f"mapping file {path} must contain a 'mappings' list")
+    entries = raw.get("mappings") if isinstance(raw, dict) else None
+    if not (isinstance(entries, list) and all(isinstance(e, dict) for e in entries)):
+        raise ConfigError(f"mapping file {path} must contain a 'mappings' list "
+                          "of JSON objects")
     mappings = []
-    for entry in raw["mappings"]:
+    for entry in entries:
         try:
             mappings.append(
                 MatchMapping(
@@ -169,7 +197,7 @@ def _load_mappings(path) -> list:
                     groups=entry["groups"],
                 )
             )
-        except (KeyError, TypeError) as exc:
+        except KeyError as exc:
             raise ConfigError(f"bad mapping entry {entry!r}: {exc}") from None
     return mappings
 
@@ -177,6 +205,10 @@ def _load_mappings(path) -> list:
 def cmd_fit(args) -> int:
     started = time.perf_counter()
     options = FitOptions(tol=args.tol, max_iter=args.max_iter)
+    if args.mapping and not (args.actor_attrs and args.event_attrs):
+        raise ConfigError("--mapping requires --actor-attrs and --event-attrs")
+    if not args.mapping and (args.actor_attrs or args.event_attrs):
+        raise ConfigError("--actor-attrs and --event-attrs require --mapping")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     inputs = [args.edge_list]
@@ -193,8 +225,6 @@ def cmd_fit(args) -> int:
         graph = filter_by_degree(graph, args.min_degree, mode=args.filter_mode)
 
     if args.mapping:
-        if not (args.actor_attrs and args.event_attrs):
-            raise ConfigError("--mapping requires --actor-attrs and --event-attrs")
         actor_attrs = load_attribute_table(args.actor_attrs, delimiter=args.delimiter)
         event_attrs = load_attribute_table(args.event_attrs, delimiter=args.delimiter)
         mappings = _load_mappings(args.mapping)
@@ -207,19 +237,15 @@ def cmd_fit(args) -> int:
     result = fit(graph, covariates, family, options)
 
     rows = report_rows(result, method=args.method, bias_correct=args.bias_correct)
-    write_report(
-        rows,
-        out_dir / "report.tsv",
-        pinned_note=f"beta:{graph.n} ({graph.event_labels[-1]}) pinned to 0",
-    )
-    with open(out_dir / "trace.tsv", "w", encoding="utf-8") as fh:
-        fh.write("step\thalvings\tdegree_norm\tcovariate_norm\tlinear_iterations\n")
-        for rec in result.trace:
-            fh.write(
-                f"{rec.outer_iteration}\t{rec.inner_iterations}\t"
-                f"{rec.degree_norm:.10g}\t{rec.covariate_norm:.10g}\t"
-                f"{rec.linear_iterations}\n"
-            )
+    (out_dir / "report.tsv").write_text(_table(
+        map(operator.attrgetter(*REPORT_HEADER), rows), REPORT_HEADER,
+        comment=f"beta:{graph.n} ({graph.event_labels[-1]}) pinned to 0",
+    ), encoding="utf-8")
+    (out_dir / "trace.tsv").write_text(_table(
+        ((rec.outer_iteration, rec.inner_iterations, rec.degree_norm,
+          rec.covariate_norm, rec.linear_iterations) for rec in result.trace),
+        TRACE_HEADER,
+    ), encoding="utf-8")
 
     sidecar = {
         **components_from_fit(result, method=args.method).to_json(),
@@ -238,9 +264,7 @@ def cmd_fit(args) -> int:
         ci = coefficient_inference(result, method=args.method)
         sidecar["gamma_bc"] = ci.estimate_bc.tolist()
         sidecar["bias_term"] = ci.b_star.tolist()
-    with open(out_dir / "fit.json", "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out_dir / "fit.json", sidecar)
 
     _write_manifest(out_dir, "fit", vars(args), inputs, None, started)
     print(f"fit: {result.m} actors x {result.n} events, "
@@ -260,35 +284,35 @@ def cmd_simulate(args) -> int:
     if args.seed is not None:
         scenario = dataclasses.replace(scenario, seed=args.seed)
     summary = run_scenario(scenario, workers=args.threads)
-    write_summary_table(summary, out_dir / "summary.tsv")
-    qq_paths = write_qq_samples(summary, out_dir)
+    (out_dir / "summary.tsv").write_text(
+        _table(summary.rows(), ("metric", "key", "value")), encoding="utf-8")
+    # one file of normalized statistics per tracked parameter, one value a line
+    for key, samples in summary.zeta_samples.items():
+        (out_dir / f"qq_{key.replace(':', '_')}.txt").write_text(
+            _table((value,) for value in samples), encoding="utf-8")
     _write_manifest(out_dir, "simulate", vars(args), [args.scenario],
                     scenario.seed, started)
     print(f"simulate: {scenario.replications} replications at "
           f"({scenario.m}, {scenario.n}), L={scenario.L:.4g}, "
           f"nonconvergence={summary.nonconvergence_rate:.2%}")
-    print(f"wrote {out_dir / 'summary.tsv'} and {len(qq_paths)} QQ files")
+    print(f"wrote {out_dir / 'summary.tsv'} and {len(summary.zeta_samples)} QQ files")
     return EXIT_OK
 
 
 def cmd_test(args) -> int:
     started = time.perf_counter()
     comp = InferenceComponents.from_json(_load_json(args.fit_report, "fit report"))
-    lines = ["contrast\testimate\tse\tstatistic\tp_value"]
-    for spec in args.contrast:
-        result = wald_from_components(comp, spec, args.null)
-        lines.append(
-            f"{result.description}\t{result.estimate:.10g}\t"
-            f"{result.standard_error:.10g}\t{result.statistic:.10g}\t"
-            f"{result.p_value:.10g}"
-        )
-    body = "\n".join(lines) + "\n"
+    tests = [wald_from_components(comp, spec, args.null) for spec in args.contrast]
+    body = _table(
+        ((t.description, t.estimate, t.standard_error, t.statistic, t.p_value)
+         for t in tests),
+        ("contrast", "estimate", "se", "statistic", "p_value"),
+    )
     sys.stdout.write(body)
     if args.out_dir:
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        with open(out_dir / "tests.tsv", "w", encoding="utf-8") as fh:
-            fh.write(body)
+        (out_dir / "tests.tsv").write_text(body, encoding="utf-8")
         _write_manifest(out_dir, "test", vars(args), [args.fit_report],
                         None, started)
     return EXIT_OK

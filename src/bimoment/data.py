@@ -136,7 +136,8 @@ class CovariateTensor:
             raise DataError("covariates must have shape (m, n, p)")
         if not np.all(np.isfinite(v)):
             raise DataError("covariates contain non-finite values")
-        observed = float(np.abs(v).max()) if v.size else 0.0
+        # max |v| without an |v| temporary; 0.0 first keeps a zero array's bound +0.0
+        observed = float(max(0.0, v.max(), -v.min())) if v.size else 0.0
         if self.bound is None:
             object.__setattr__(self, "bound", observed)
         elif observed > self.bound + 1e-12:
@@ -653,6 +654,13 @@ class MatchMapping:
     groups: Mapping[str, str]
 
     def __post_init__(self):
+        for attr in ("name", "actor_attr", "event_attr"):
+            if not isinstance(getattr(self, attr), str):
+                raise ConfigError(f"mapping {self.name!r}: {attr} must be a string, "
+                                  f"got {getattr(self, attr)!r}")
+        if not isinstance(self.groups, Mapping):
+            raise ConfigError(f"mapping {self.name!r}: groups must be a mapping, "
+                              f"got {self.groups!r}")
         object.__setattr__(self, "groups", dict(self.groups))
         # classes are attribute values, which are strings, so a group that is
         # not a string could match nothing

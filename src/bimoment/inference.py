@@ -549,7 +549,8 @@ def wald_test(
 
 @dataclass(frozen=True)
 class ReportRow:
-    """One serialized inference record."""
+    """One row of the inference report; the field names are the columns
+    of the ``report.tsv`` that ``bimoment.cli`` writes."""
 
     name: str
     label: str
@@ -599,21 +600,3 @@ def report_rows(
         (estimate + Z_95 * se).tolist(),
     ))
 
-
-REPORT_HEADER = ("name", "label", "estimate", "se", "statistic", "p_value",
-                 "ci_low", "ci_high")
-
-
-def write_report(rows, path, pinned_note: str = None):
-    """Serialize report rows as tab-separated text (stable formatting, so
-    identical runs produce identical bytes)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        if pinned_note:
-            fh.write(f"# {pinned_note}\n")
-        fh.write("\t".join(REPORT_HEADER) + "\n")
-        for r in rows:
-            fh.write(
-                f"{r.name}\t{r.label}\t{r.estimate:.10g}\t{r.se:.10g}\t"
-                f"{r.statistic:.10g}\t{r.p_value:.10g}\t{r.ci_low:.10g}\t"
-                f"{r.ci_high:.10g}\n"
-            )

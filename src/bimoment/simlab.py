@@ -292,7 +292,7 @@ class ScenarioSummary:
     zeta_samples: dict   # key -> np.ndarray of normalized statistics
 
     def rows(self):
-        """Flatten to (metric, key, value) rows for serialization."""
+        """Flatten to (metric, key, value) rows, the lines of ``summary.tsv``."""
         out = [("replications", "", float(self.replications)),
                ("converged", "", float(self.converged)),
                ("nonconvergence_rate", "", self.nonconvergence_rate)]
@@ -378,26 +378,3 @@ def ks_normality(samples) -> tuple:
     p_value = float(kolmogorov(math.sqrt(k) * statistic))
     return statistic, p_value
 
-
-def write_summary_table(summary: ScenarioSummary, path):
-    """Serialize a scenario summary as tab-separated (metric, key, value)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("metric\tkey\tvalue\n")
-        for metric, key, value in summary.rows():
-            fh.write(f"{metric}\t{key}\t{value:.10g}\n")
-
-
-def write_qq_samples(summary: ScenarioSummary, out_dir):
-    """Write one normalized-statistic file per tracked parameter (one
-    value per line), ready for any plotting tool.  Returns the paths."""
-    from pathlib import Path
-
-    out_dir = Path(out_dir)
-    paths = []
-    for key in sorted(summary.zeta_samples):
-        path = out_dir / f"qq_{key.replace(':', '_')}.txt"
-        with open(path, "w", encoding="utf-8") as fh:
-            for value in summary.zeta_samples[key]:
-                fh.write(f"{value:.10g}\n")
-        paths.append(path)
-    return paths

@@ -72,6 +72,13 @@ class TestFitCommand:
         # every step factors the Schur complement
         assert all(row.split("\t")[4] == "0" for row in rows)
 
+    def test_report_header(self, fit_run):
+        note, header, first = (fit_run / "report.tsv").read_text().splitlines()[:3]
+        assert note.startswith("# beta:") and note.endswith(" pinned to 0")
+        assert header.split("\t") == ["name", "label", "estimate", "se", "statistic",
+                                      "p_value", "ci_low", "ci_high"]
+        assert first.startswith("alpha:1\t")
+
     def test_report_has_coefficients_with_correction(self, fit_run):
         rows = read_report(fit_run / "report.tsv")
         for name in ("gamma:1", "gamma:2", "gamma_bc:1", "gamma_bc:2"):
@@ -212,6 +219,48 @@ class TestFitCommand:
         assert f"min_degree must be a number >= 0, got {float(value)!r}" in err
         assert "Traceback" not in err
         assert not any(out.iterdir())
+
+    @pytest.mark.parametrize("field, value", [
+        ("mappings", 5), ("mappings", None), ("groups", "abc"), ("groups", ["abc"]),
+        ("name", 5), ("actor_attr", ["sex"]), ("event_attr", ["genre"]),
+    ], ids=["mappings-int", "mappings-null", "groups-string", "groups-list",
+            "name-int", "actor_attr-list", "event_attr-list"])
+    def test_malformed_mapping_file_is_usage_error(self, fixture_dir, tmp_path, capsys,
+                                                   field, value):
+        raw = json.loads(fixture_dir.mapping.read_text())
+        if field == "mappings":
+            raw["mappings"] = value
+        else:
+            raw["mappings"][0][field] = value
+        mapping = tmp_path / "mapping.json"
+        mapping.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        rc = main([
+            "fit", str(fixture_dir.edges),
+            "--actor-attrs", str(fixture_dir.actor_attrs),
+            "--event-attrs", str(fixture_dir.event_attrs),
+            "--mapping", str(mapping), "--out-dir", str(out),
+        ])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+        assert not (out / "report.tsv").exists()
+
+    @pytest.mark.parametrize("flags", [
+        ("--actor-attrs", "--event-attrs"), ("--actor-attrs",), ("--event-attrs",),
+    ], ids=["both", "actors", "events"])
+    def test_attribute_tables_without_mapping_are_usage_error(
+            self, fixture_dir, tmp_path, capsys, flags):
+        tables = {"--actor-attrs": fixture_dir.actor_attrs,
+                  "--event-attrs": fixture_dir.event_attrs}
+        out = tmp_path / "out"
+        argv = ["fit", str(fixture_dir.edges), "--out-dir", str(out)]
+        for flag in flags:
+            argv += [flag, str(tables[flag])]
+        assert main(argv) == EXIT_CONFIG
+        assert "--actor-attrs and --event-attrs require --mapping" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_empty_delimiter_is_usage_error(self, tmp_path, capsys):
         edges = tmp_path / "edges.tsv"
@@ -407,8 +456,15 @@ class TestSimulateCommand:
         out = tmp_path / "out"
         rc = main(["simulate", str(path), "--out-dir", str(out)])
         assert rc == EXIT_OK
-        assert (out / "summary.tsv").exists()
-        assert (out / "qq_alpha_1.txt").exists()
+        lines = (out / "summary.tsv").read_text().splitlines()
+        assert lines[0] == "metric\tkey\tvalue"
+        assert any(line.startswith("mae\talpha:1\t") for line in lines)
+        converged = next(int(line.split("\t")[2]) for line in lines
+                         if line.startswith("converged\t"))
+        qq = sorted(out.glob("qq_*.txt"))
+        assert len(qq) == 6  # three tracked alphas + three tracked betas
+        assert out / "qq_alpha_1.txt" in qq
+        assert all(len(path.read_text().splitlines()) == converged for path in qq)
         assert (out / "manifest.json").exists()
 
     def test_rerun_byte_identical(self, tmp_path):
@@ -493,6 +549,15 @@ class TestSimulateCommand:
         elapsed = time.perf_counter() - started
         assert rc == EXIT_OK
         assert elapsed < 5.0
+
+
+def test_table_format():
+    # floats to 10 significant digits, anything else as str gives it
+    rows = [("a", 7, 1 / 3), (1e-300, 123456789.123, "b")]
+    body = "a\t7\t0.3333333333\n1e-300\t123456789.1\tb\n"
+    assert cli._table(rows) == body
+    assert cli._table(rows, ("x", "y", "z")) == "x\ty\tz\n" + body
+    assert cli._table(rows, ("x", "y", "z"), comment="note") == "# note\nx\ty\tz\n" + body
 
 
 class TestSolverOptions:

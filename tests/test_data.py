@@ -483,6 +483,13 @@ class TestCovariateTensor:
         tensor = CovariateTensor(np.full((2, 2, 1), -2.5))
         assert tensor.bound == 2.5
 
+    @pytest.mark.parametrize("values, expected", [
+        ([-3.0, 1.0], 3.0), ([2.0, -1.0], 2.0), ([0.0, -0.0], 0.0), ([-0.0, -0.0], 0.0),
+    ])
+    def test_recorded_bound_is_the_sup_norm(self, values, expected):
+        bound = CovariateTensor(np.array(values).reshape(1, 2, 1)).bound
+        assert bound == expected and math.copysign(1.0, bound) == 1.0
+
     def test_empty(self):
         tensor = CovariateTensor.empty(3, 4)
         assert tensor.p == 0 and tensor.values.shape == (3, 4, 0)

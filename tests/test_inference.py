@@ -33,7 +33,6 @@ from bimoment import (
     score_terms,
     simulate_network,
     wald_test,
-    write_report,
 )
 from bimoment import data, fitter, inference
 from bimoment.errors import ConfigError
@@ -44,7 +43,6 @@ from bimoment.fitter import (
     profile_jacobian,
 )
 from bimoment.inference import (
-    REPORT_HEADER,
     InferenceComponents,
     components_from_fit,
     wald_from_components,
@@ -741,17 +739,6 @@ class TestReports:
         result = fit(graph, cov, LOGISTIC)
         rows = report_rows(result, bias_correct=False)
         assert not any(r.name.startswith("gamma_bc") for r in rows)
-
-    def test_serialization_stable(self, rng, tmp_path):
-        graph, cov, _ = feasible_instance(rng, 5, 4, 1, LOGISTIC)
-        result = fit(graph, cov, LOGISTIC)
-        rows = report_rows(result)
-        write_report(rows, tmp_path / "a.tsv")
-        write_report(rows, tmp_path / "b.tsv")
-        a = (tmp_path / "a.tsv").read_bytes()
-        assert a == (tmp_path / "b.tsv").read_bytes()
-        header = a.decode().splitlines()[0]
-        assert header.split("\t") == list(REPORT_HEADER)
 
     def test_confidence_bounds_use_the_95_quantile(self, rng):
         assert inference.Z_95 == float(ndtri(0.975))

@@ -2,6 +2,7 @@
 scheme, forward sampling, replication bookkeeping, determinism, and the
 normality check."""
 
+import json
 import math
 import os
 import platform
@@ -31,12 +32,11 @@ from bimoment.simlab import (
     density_level_menu,
     run_replication,
     tracked_indices,
-    write_qq_samples,
-    write_summary_table,
 )
 
 LOGISTIC = get_family("logistic")
 POISSON = get_family("poisson")
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 class TestTruthProfiles:
@@ -155,6 +155,17 @@ class TestScenario:
         assert t["alpha"] == (1, 50, 100)
         assert t["beta"] == (1, 50, 99)
         assert t["alpha_pairs"] == ((1, 2), (50, 51), (99, 100))
+
+    @pytest.mark.parametrize("path", sorted(SCENARIO_DIR.glob("*.json")),
+                             ids=lambda path: path.name)
+    def test_scenario_file_parses_and_runs(self, path):
+        scenario = Scenario.from_dict(json.loads(path.read_text(encoding="utf-8")))
+        assert run_replication(scenario, 0).converged
+
+    def test_scenario_files_are_found(self):
+        assert {p.name for p in SCENARIO_DIR.glob("*.json")} >= {
+            "logistic_100x100_L0.json", "logistic_100x100_sparse.json",
+            "logistic_300x100_L0.json"}
 
 
 class TestRunScenario:
@@ -308,17 +319,6 @@ class TestRunScenario:
         gamma_mae = max(summary.mae["gamma:1"], summary.mae["gamma:2"])
         alpha_mae = summary.mae["alpha:1"]
         assert gamma_mae < 0.5 * alpha_mae
-
-    def test_summary_serialization(self, tmp_path):
-        summary = run_scenario(self.SMALL)
-        write_summary_table(summary, tmp_path / "summary.tsv")
-        lines = (tmp_path / "summary.tsv").read_text().splitlines()
-        assert lines[0] == "metric\tkey\tvalue"
-        assert any(line.startswith("mae\talpha:1\t") for line in lines)
-        paths = write_qq_samples(summary, tmp_path)
-        assert len(paths) == 6  # three tracked alphas + three tracked betas
-        body = paths[0].read_text().splitlines()
-        assert len(body) == summary.converged
 
 
 class TestNormalityCheck:
