@@ -17,7 +17,11 @@ wall-clock time.  This module writes every output file: tables through
 through ``_write_json`` (indent 2, sorted keys), so re-running a command
 reproduces its outputs byte for byte.
 
-``fit`` solves to ``--tol`` within ``--max-iter`` Newton steps, whose
+``fit`` reads the edge list in the mode the family's support sets:
+under a binary family (``logistic``) weights must be 0 or 1 and a
+repeated pair is an error; under a count family (``poisson``) weights
+are kept as given, and ``--sum-duplicates`` sums repeated pairs.
+It solves to ``--tol`` within ``--max-iter`` Newton steps, whose
 defaults are those of ``FitOptions`` (1e-8 and 50).  It writes
 ``trace.tsv`` with one row per step of the joint Newton solver (one
 ``IterationRecord`` each): ``step`` is the step index, 0 for the
@@ -31,20 +35,22 @@ Schur complement instead (node sets where min(m, n-1) is below
 ``fit.json`` carries no convergence flag; ``test`` still reads a
 ``fit.json`` written with the former ``"converged": true`` key.
 
-Exit codes: 0 success, 2 config/parse error (including an input file
-that is not valid UTF-8, an empty delimiter, a ``--tol`` that is not
-finite and positive, a ``--max-iter`` below 1, a ``--threads`` below 1,
-a malformed scenario field, a fit report missing a Wald component, a
-null value that is not finite, an environment override that does not
-parse, ``--actor-attrs`` or ``--event-attrs`` without ``--mapping``, or
-a mapping file that is not a list of well-typed match mappings), 3
-fitting failure (any ``FitError``: no finite solution or no
-convergence), 4 ill-posed inference, 5 internal error.  Every ``fit``
-flag but ``--actor-attrs``, ``--event-attrs`` and ``--mapping``, and
-``simulate --threads`` and ``--out-dir``, can be supplied via an
-environment variable with the ``BIMOMENT_`` prefix (dashes become
-underscores, e.g. ``BIMOMENT_MIN_DEGREE=40``; booleans take
-``1/true/yes/on`` or ``0/false/no/off``); no other flag reads one.
+Exit codes: 0 success, 2 config/parse error (including an unknown
+``--family``, checked before any input is read, an input file that is
+not valid UTF-8, an empty delimiter, a ``--tol`` that is not finite and
+positive, a ``--max-iter`` below 1, a ``--threads`` below 1, a malformed
+scenario field, a fit report missing a Wald component or whose
+``gamma_covariance`` diagonal is not positive, a null value that is not
+finite, an environment override that does not parse, ``--actor-attrs``
+or ``--event-attrs`` without ``--mapping``, or a mapping file that is
+not a list of well-typed match mappings), 3 fitting failure (any
+``FitError``: no finite solution or no convergence), 4 ill-posed
+inference, 5 internal error.  Every ``fit`` flag but ``--actor-attrs``,
+``--event-attrs`` and ``--mapping``, and ``simulate --threads`` and
+``--out-dir``, can be supplied via an environment variable with the
+``BIMOMENT_`` prefix (dashes become underscores, e.g.
+``BIMOMENT_MIN_DEGREE=40``; booleans take ``1/true/yes/on`` or
+``0/false/no/off``); no other flag reads one.
 """
 
 from __future__ import annotations
@@ -205,6 +211,7 @@ def _load_mappings(path) -> list:
 def cmd_fit(args) -> int:
     started = time.perf_counter()
     options = FitOptions(tol=args.tol, max_iter=args.max_iter)
+    family = get_family(args.family)
     if args.mapping and not (args.actor_attrs and args.event_attrs):
         raise ConfigError("--mapping requires --actor-attrs and --event-attrs")
     if not args.mapping and (args.actor_attrs or args.event_attrs):
@@ -216,7 +223,7 @@ def cmd_fit(args) -> int:
     graph = load_edge_list(
         args.edge_list,
         delimiter=args.delimiter,
-        mode="count" if args.count_mode else "binary",
+        mode="binary" if family.support == "binary" else "count",
         sum_duplicates=args.sum_duplicates,
         binarize=args.binarize,
         strict=not args.permissive,
@@ -233,7 +240,6 @@ def cmd_fit(args) -> int:
     else:
         covariates = None
 
-    family = get_family(args.family)
     result = fit(graph, covariates, family, options)
 
     rows = report_rows(result, method=args.method, bias_correct=args.bias_correct)
@@ -332,12 +338,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--family", default=_env_default("family", "logistic"),
                        help="edge-weight family: logistic | poisson")
     p_fit.add_argument("--delimiter", default=_env_default("delimiter", "\t"))
-    p_fit.add_argument("--count-mode", action="store_true",
-                       default=_env_flag("count-mode", False),
-                       help="treat weights as counts instead of binary")
     p_fit.add_argument("--sum-duplicates", action="store_true",
                        default=_env_flag("sum-duplicates", False),
-                       help="sum duplicate edges in count mode")
+                       help="sum duplicate edges under a count family")
     p_fit.add_argument("--binarize", action="store_true",
                        default=_env_flag("binarize", False),
                        help="coerce positive weights to 1 before anything else")

@@ -16,7 +16,7 @@ import operator
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import count
+from itertools import compress, count
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -636,8 +636,8 @@ def filter_by_degree(
         if changed:
             current = BipartiteGraph(
                 weights=current.weights[np.ix_(keep_a, keep_e)],
-                actor_labels=tuple(np.asarray(current.actor_labels)[keep_a]),
-                event_labels=tuple(np.asarray(current.event_labels)[keep_e]),
+                actor_labels=tuple(compress(current.actor_labels, keep_a)),
+                event_labels=tuple(compress(current.event_labels, keep_e)),
             )
         if mode == "once" or not changed:
             return current
@@ -678,9 +678,9 @@ def build_match_covariates(
     """Binary match covariates: ``z_ijl = 1`` iff actor ``i``'s class under
     mapping ``l`` equals the group assigned to event ``j``'s attribute value.
 
-    Each mapping codes its actor classes and event groups as integers with
-    one ``np.unique`` over the m + n labels, so the m x n plane compares
-    integers, not strings.
+    Each mapping codes its actor classes and event groups as integers, one
+    per distinct label in order of first appearance, so the m x n plane
+    compares integers, not strings.
     """
     m, n = graph.m, graph.n
     if not mappings:
@@ -696,7 +696,8 @@ def build_match_covariates(
                     f"(event {e_label!r}) has no group assignment"
                 )
             labels.append(mapping.groups[value])
-        codes = np.unique(np.array(labels), return_inverse=True)[1].reshape(-1)
+        code = defaultdict(count().__next__)
+        codes = np.fromiter(map(code.__getitem__, labels), dtype=np.intp, count=m + n)
         np.equal(codes[:m, None], codes[None, m:], out=plane, casting="unsafe")
     # read-only and referenced nowhere else, so the tensor adopts the planes
     planes.setflags(write=False)

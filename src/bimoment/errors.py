@@ -30,11 +30,7 @@ class DomainError(BimomentError):
 
 
 class FitError(BimomentError):
-    """Base class for fitting failures; carries the residual-norm trace."""
-
-    def __init__(self, message, trace=None):
-        super().__init__(message)
-        self.trace = tuple(trace) if trace is not None else ()
+    """Base class for fitting failures; the message says which."""
 
 
 class NonExistenceError(FitError):

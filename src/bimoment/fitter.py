@@ -645,31 +645,28 @@ def solve_degree_params(
     covariates: CovariateTensor,
     family: ModelFamily,
     options: FitOptions = FitOptions(),
-    warm_start: np.ndarray = None,
 ) -> tuple:
-    """Newton solve of the degree equations at fixed ``gamma``, from
-    ``warm_start`` or else from zero degree parameters.
+    """Newton solve of the degree equations at fixed ``gamma``, from zero
+    degree parameters.
 
     It stops once ``|f|_inf <= options.tol``.  Returns ``(params, trace)``
     where ``trace`` is the sup-norm residual per iteration.  Its input is
     checked as ``fit`` checks it (``_checked_degrees``), and a ``gamma``
-    not of length ``covariates.p`` or a ``warm_start`` not of length
-    m+n-1 raises ``DataError``.  Raises ``NonExistenceError`` when the
-    iteration diverges or takes more than ``options.max_iter`` steps: by
-    the theory a finite solution exists only with high probability, and
-    divergence is the observable signature of the exceptional event.
+    not of length ``covariates.p`` raises ``DataError``.  Raises
+    ``NonExistenceError`` when the start point lies outside the family's
+    working domain, or when the iteration diverges or takes more than
+    ``options.max_iter`` steps: by the theory a finite solution exists
+    only with high probability, and divergence is the observable
+    signature of the exceptional event.
     """
     deg = _checked_degrees(graph, covariates, family)
-    dim = graph.m + graph.n - 1
-    theta = np.zeros(dim) if warm_start is None else np.array(warm_start, dtype=float)
     gamma = np.asarray(gamma, dtype=float).reshape(-1)
     if gamma.shape != (covariates.p,):
         raise DataError(f"gamma has length {gamma.shape[0]}, expected covariates.p = "
                         f"{covariates.p}")
-    if theta.shape != (dim,):
-        raise DataError(f"warm_start has shape {theta.shape}, expected length m+n-1 = {dim}")
     params, _pi, _mu, _res, trace = _damped_newton(
-        graph, covariates, family, deg, theta, gamma, options, free_gamma=False
+        graph, covariates, family, deg, np.zeros(graph.m + graph.n - 1), gamma, options,
+        free_gamma=False,
     )
     return params, tuple(rec.degree_norm for rec in trace)
 
@@ -680,13 +677,10 @@ def profiled_residuals(
     covariates: CovariateTensor,
     family: ModelFamily,
     options: FitOptions = FitOptions(),
-    warm_start: np.ndarray = None,
 ) -> np.ndarray:
     """Covariate residuals evaluated at the profiled degree parameters
     (the degree solve at this ``gamma``)."""
-    params, _trace = solve_degree_params(
-        gamma, graph, covariates, family, options, warm_start
-    )
+    params, _trace = solve_degree_params(gamma, graph, covariates, family, options)
     return covariate_residuals(params, graph, covariates, family)
 
 
@@ -760,8 +754,8 @@ def covariate_moments(covariates: CovariateTensor, slopes: np.ndarray) -> tuple:
 
 def fit(
     graph: BipartiteGraph,
-    covariates: CovariateTensor = None,
-    family: ModelFamily = None,
+    covariates: CovariateTensor,
+    family: ModelFamily,
     options: FitOptions = FitOptions(),
 ) -> FitResult:
     """Fit the model by the method of moments.
@@ -798,8 +792,6 @@ def fit(
     ``MaxIterationsError`` after ``options.max_iter`` steps, and
     ``IllPosedError`` when ``H`` is not positive definite.
     """
-    if family is None:
-        raise ValueError("family is required")
     if covariates is None:
         covariates = CovariateTensor.empty(graph.m, graph.n)
     deg = _checked_degrees(graph, covariates, family)
@@ -850,9 +842,6 @@ def _damped_newton(graph, covariates, family, deg, theta, gamma, options, free_g
             q = np.zeros(0)
         return params, pi, mu, MomentResiduals(degree=f, covariate=q)
 
-    def merit_trace():
-        return [max(rec.degree_norm, rec.covariate_norm) for rec in trace]
-
     try:
         params, pi, mu, res = evaluate(theta, gamma)
     except DomainError as exc:
@@ -864,8 +853,7 @@ def _damped_newton(graph, covariates, family, deg, theta, gamma, options, free_g
         step_index = len(trace)
         if step_index > options.max_iter:
             raise cap_error(
-                f"Newton iteration did not reach tolerance in {options.max_iter} steps",
-                trace=merit_trace(),
+                f"Newton iteration did not reach tolerance in {options.max_iter} steps"
             )
         dtheta, dgamma, linear_iterations = _newton_direction(
             family.mean_d1_given_mean(pi, mu), covariates, res
@@ -885,8 +873,7 @@ def _damped_newton(graph, covariates, family, deg, theta, gamma, options, free_g
         else:
             raise NonExistenceError(
                 "Newton iteration stalled under full damping; "
-                "no finite solution found",
-                trace=merit_trace(),
+                "no finite solution found"
             )
         theta, gamma = trial_theta, trial_gamma
         params, pi, mu, res = trial
@@ -897,8 +884,7 @@ def _damped_newton(graph, covariates, family, deg, theta, gamma, options, free_g
         if np.abs(theta).max() > PARAM_CAP:
             raise NonExistenceError(
                 f"degree parameter escaped [-{PARAM_CAP:g}, {PARAM_CAP:g}]; "
-                "the moment equations appear to have no finite solution",
-                trace=merit_trace(),
+                "the moment equations appear to have no finite solution"
             )
     return params, pi, mu, res, trace
 

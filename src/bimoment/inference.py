@@ -416,7 +416,7 @@ class InferenceComponents:
         ``theta``, ``v_diag`` and ``u_diag`` finite 1-d arrays of length
         m+n-1, the variances positive; ``v_tail`` and ``u_tail`` finite
         and positive; ``gamma`` finite and 1-d, and ``gamma_covariance`` a
-        finite p x p matrix."""
+        finite p x p matrix with a positive diagonal."""
         if not isinstance(raw, dict):
             raise ConfigError("fit report must be a JSON object")
         try:
@@ -458,8 +458,9 @@ class InferenceComponents:
         if p == 0 and values["gamma_covariance"] == []:
             # JSON cannot hold a 0 x 0 shape: it writes the empty matrix as []
             values["gamma_covariance"] = np.zeros((0, 0))
-        if finite_array("gamma_covariance", 2).shape != (p, p):
-            raise bad("gamma_covariance", f"a {p} x {p} matrix")
+        covariance = finite_array("gamma_covariance", 2)
+        if covariance.shape != (p, p) or not (covariance.diagonal() > 0).all():
+            raise bad("gamma_covariance", f"a {p} x {p} matrix with a positive diagonal")
         return cls(**values)
 
 

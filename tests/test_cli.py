@@ -21,6 +21,8 @@ from bimoment.cli import (
     EXIT_OK,
     main,
 )
+from bimoment.data import load_edge_list
+from bimoment.families import get_family
 from bimoment.fixtures import make_ratings_fixture
 
 
@@ -142,12 +144,47 @@ class TestFitCommand:
         assert rc == EXIT_CONFIG
         assert "line 2" in capsys.readouterr().err
 
-    def test_unknown_family(self, tmp_path):
-        edges = tmp_path / "edges.tsv"
-        edges.write_text("u1\tm1\nu2\tm2\n")
-        rc = main(["fit", str(edges), "--family", "probit",
-                   "--out-dir", str(tmp_path / "out")])
+    def test_unknown_family(self, tmp_path, capsys):
+        # checked before the edge list is read or the output directory made
+        out = tmp_path / "out"
+        rc = main(["fit", str(tmp_path / "missing.tsv"), "--family", "bogus",
+                   "--out-dir", str(out)])
         assert rc == EXIT_CONFIG
+        assert "unknown family 'bogus'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_count_family_reads_weights_as_counts(self, tmp_path):
+        edges = tmp_path / "edges.tsv"
+        edges.write_text("u1\tm1\t2\nu1\tm2\t1\nu1\tm3\t4\nu2\tm1\t3\nu2\tm2\t1\n"
+                         "u3\tm2\t5\nu3\tm3\t2\n")
+        out = tmp_path / "out"
+        assert main(["fit", str(edges), "--family", "poisson", "--out-dir", str(out)]) == EXIT_OK
+        sidecar = json.loads((out / "fit.json").read_text())
+        want = fitter.fit(load_edge_list(edges, mode="count"), None, get_family("poisson"))
+        assert sidecar["alpha"] == want.params.alpha.tolist()
+        assert sidecar["beta"] == want.params.beta.tolist()
+
+    def test_count_family_sums_duplicates_on_request(self, tmp_path, capsys):
+        edges = tmp_path / "edges.tsv"
+        edges.write_text("u1\tm1\t1\nu1\tm2\nu2\tm1\nu2\tm2\t2\nu1\tm1\t1\n")
+        summed = tmp_path / "summed.tsv"
+        summed.write_text("u1\tm1\t2\nu1\tm2\nu2\tm1\nu2\tm2\t2\n")
+        argv = ["fit", "--family", "poisson"]
+        assert main([*argv, str(edges), "--out-dir", str(tmp_path / "dup")]) == EXIT_CONFIG
+        assert "line 5: duplicate edge (u1, m1); pass sum_duplicates" in capsys.readouterr().err
+        assert main([*argv, str(edges), "--sum-duplicates",
+                     "--out-dir", str(tmp_path / "a")]) == EXIT_OK
+        assert main([*argv, str(summed), "--out-dir", str(tmp_path / "b")]) == EXIT_OK
+        assert ((tmp_path / "a" / "report.tsv").read_bytes()
+                == (tmp_path / "b" / "report.tsv").read_bytes())
+
+    def test_count_mode_flag_is_unknown(self, tmp_path):
+        edges = tmp_path / "edges.tsv"
+        edges.write_text("u1\tm1\t2\nu2\tm2\t1\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["fit", str(edges), "--family", "poisson", "--count-mode",
+                  "--out-dir", str(tmp_path / "out")])
+        assert exc.value.code == EXIT_CONFIG
 
     def test_nonexistent_solution_exit_code(self, tmp_path):
         # an actor connected to every event has no finite estimate
@@ -399,18 +436,21 @@ class TestTestCommand:
         ("theta", lambda v: "abc"),
         ("theta", lambda v: v[:5]),
         ("gamma_covariance", lambda v: [1.0]),
+        ("gamma_covariance", lambda v: [[0.0, *v[0][1:]], *v[1:]]),
+        ("gamma_covariance", lambda v: [[-1.0, *v[0][1:]], *v[1:]]),
         ("m", lambda v: "x"),
         ("v_diag", lambda v: None),
         ("v_tail", lambda v: -1),
-    ], ids=["theta-string", "theta-short", "covariance-flat", "m-string",
-            "v_diag-null", "v_tail-negative"])
+    ], ids=["theta-string", "theta-short", "covariance-flat", "covariance-zero-variance",
+            "covariance-negative-variance", "m-string", "v_diag-null", "v_tail-negative"])
     def test_sidecar_malformed_component_is_usage_error(
             self, fit_run, tmp_path, capsys, field, edit):
         sidecar = json.loads((fit_run / "fit.json").read_text())
         sidecar[field] = edit(sidecar[field])
         broken = tmp_path / "fit.json"
         broken.write_text(json.dumps(sidecar))
-        rc = main(["test", str(broken), "--contrast", "alpha:1"])
+        # a gamma contrast reads the coefficient variance
+        rc = main(["test", str(broken), "--contrast", "gamma:1"])
         err = capsys.readouterr().err
         assert rc == EXIT_CONFIG
         assert f"field {field!r}" in err
@@ -601,7 +641,7 @@ class TestEnvironmentOverrides:
         edges.write_text("u1\tm1\t2\nu1\tm2\t1\nu2\tm1\t1\nu2\tm2\t3\n")
         monkeypatch.setenv("BIMOMENT_FAMILY", "poisson")
         out = tmp_path / "out"
-        rc = main(["fit", str(edges), "--count-mode", "--out-dir", str(out)])
+        rc = main(["fit", str(edges), "--out-dir", str(out)])
         assert rc == EXIT_OK
         sidecar = json.loads((out / "fit.json").read_text())
         assert sidecar["family"] == "poisson"
@@ -644,7 +684,6 @@ class TestEnvironmentOverrides:
         ("BIMOMENT_BIAS_CORRECT", "ture"),
         ("BIMOMENT_BIAS_CORRECT", ""),
         ("BIMOMENT_BINARIZE", "2"),
-        ("BIMOMENT_COUNT_MODE", "y"),
         ("BIMOMENT_SUM_DUPLICATES", "enabled"),
         ("BIMOMENT_PERMISSIVE", "nein"),
     ])

@@ -456,6 +456,15 @@ class TestDegreeFilter:
         with pytest.raises(DataError, match="removed all"):
             filter_by_degree(graph_from(np.eye(3)), 5)
 
+    def test_labels_ending_in_nul_are_kept(self):
+        # numpy's U arrays drop trailing NULs, which would rename 'a\x00'
+        # to 'a' and collide with the actor already called 'a'
+        w = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 0.0]])
+        graph = BipartiteGraph(w, ("a\x00", "a", "c"), ("x\x00", "x", "z"))
+        filtered = filter_by_degree(graph, 1)
+        assert filtered.actor_labels == ("a\x00", "a")
+        assert filtered.event_labels == ("x\x00", "x")
+
     def test_matches_set_based_oracle(self, rng):
         w = (rng.random((20, 20)) < 0.3).astype(float)
         # plant guaranteed low-degree nodes
@@ -681,6 +690,13 @@ class TestMatchCovariates:
         for plane, groups in zip(tensor.planes, groupings):
             want = classes[:, None] == np.array([groups[v] for v in values])[None, :]
             assert np.array_equal(plane, want.astype(float))
+
+    def test_labels_that_differ_only_in_trailing_nul_do_not_match(self):
+        actors = attrs(("sex",), {"u1": {"sex": "M\x00"}, "u2": {"sex": "M"},
+                                  "u3": {"sex": "F"}})
+        tensor = build_match_covariates(self.GRAPH, actors, self.EVENTS, [self.SEX_MAP])
+        expected = np.array([[0, 0, 0], [1, 0, 1], [0, 1, 0]], dtype=float)
+        assert np.array_equal(tensor.values[:, :, 0], expected)
 
     def test_group_that_is_not_a_string_is_rejected(self):
         with pytest.raises(ConfigError, match="group 1 is not a string"):

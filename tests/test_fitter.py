@@ -367,11 +367,12 @@ class TestInnerSolve:
             solve_degree_params(np.zeros(0), graph, CovariateTensor.empty(3, 2),
                                 LOGISTIC)
 
-    def test_out_of_domain_warm_start_is_nonexistent(self, rng):
+    def test_out_of_domain_start_is_nonexistent(self, rng):
+        # on the +-1 covariates the start predictor reaches +-31, past
+        # POISSON_ETA_CAP = 30
         graph, cov, _ = feasible_instance(rng, 5, 4, 1, POISSON)
-        warm = np.full(5 + 4 - 1, 31.0)
         with pytest.raises(NonExistenceError, match="working domain"):
-            solve_degree_params(np.zeros(1), graph, cov, POISSON, warm_start=warm)
+            solve_degree_params(np.array([31.0]), graph, cov, POISSON)
 
     def test_saturated_actor_is_nonexistent(self):
         weights = np.array([[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
@@ -417,9 +418,6 @@ class TestInnerSolve:
         graph, cov, _ = feasible_instance(rng, 5, 4, 1, LOGISTIC)
         with pytest.raises(DataError, match=r"^gamma has length 2, expected covariates\.p = 1$"):
             solve_degree_params(np.zeros(2), graph, cov, LOGISTIC)
-        with pytest.raises(DataError, match=r"^warm_start has shape \(3,\), expected length "
-                                            r"m\+n-1 = 8$"):
-            solve_degree_params(np.zeros(1), graph, cov, LOGISTIC, warm_start=np.zeros(3))
 
     def test_consistency_rate_monte_carlo(self):
         # at zero truth the shipped-family rate constant is

@@ -89,8 +89,6 @@ def test_fit_and_cli_fail_only_with_documented_errors(tmp_path_factory, instance
     if solver_options is not None:
         tol, max_iter = solver_options
         argv += [f"--tol={tol}", f"--max-iter={max_iter}"]
-    if family == "poisson":
-        argv.append("--count-mode")
     if p:
         write_table(work / "actors.tsv", "id", actor_cols, actor_rows)
         write_table(work / "events.tsv", "id", event_cols, event_rows)
