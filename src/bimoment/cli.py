@@ -9,18 +9,26 @@ Three subcommands cover the whole pipeline:
                 table and QQ-sample files.
 * ``test``      run Wald tests against a fit report's sidecar.
 
-Every run writes a ``manifest.json`` recording the command, the resolved
-options, SHA-256 digests of all inputs, the seed (``null`` for ``fit``
-and ``test``, which draw no random numbers), the tool version, and the
-wall-clock time.  This module writes every output file: tables through
-``_table`` (tab-separated, floats to 10 significant digits) and JSON
-through ``_write_json`` (indent 2, sorted keys), so re-running a command
+Each command only computes: it returns ``(outputs, inputs, seed,
+message)``, where ``outputs`` maps a file name to its text (``fit.json``
+to a dict), and writes nothing.  ``main`` is the one place that touches
+the output directory: once the command has returned, it makes
+``--out-dir``, writes each output and a ``manifest.json`` recording the
+command, the resolved options, SHA-256 digests of all inputs, the seed
+(``null`` for ``fit`` and ``test``, which draw no random numbers), the
+tool version and the command's wall-clock time, then prints the message.
+So a command that fails leaves no output directory behind, and ``test``
+without ``--out-dir`` writes no file.  Tables go through ``_table``
+(tab-separated, floats to 10 significant digits) and JSON through
+``_write_json`` (indent 2, sorted keys), so re-running a command
 reproduces its outputs byte for byte.
 
 ``fit`` reads the edge list in the mode the family's support sets:
 under a binary family (``logistic``) weights must be 0 or 1 and a
-repeated pair is an error; under a count family (``poisson``) weights
-are kept as given, and ``--sum-duplicates`` sums repeated pairs.
+repeated pair is an error (whose message says, when ``--sum-duplicates``
+is set, that summing applies only to counts); under a count family
+(``poisson``) weights are kept as given, and ``--sum-duplicates`` sums
+repeated pairs.
 It solves to ``--tol`` within ``--max-iter`` Newton steps, whose
 defaults are those of ``FitOptions`` (1e-8 and 50).  It writes
 ``trace.tsv`` with one row per step of the joint Newton solver (one
@@ -39,7 +47,8 @@ Exit codes: 0 success, 2 config/parse error (including an unknown
 ``--family``, checked before any input is read, an input file that is
 not valid UTF-8, an empty delimiter, a ``--tol`` that is not finite and
 positive, a ``--max-iter`` below 1, a ``--threads`` below 1, a malformed
-scenario field, a fit report missing a Wald component or whose
+scenario field (among them an ``L`` whose truth or largest predictor
+is not finite), a fit report missing a Wald component or whose
 ``gamma_covariance`` diagonal is not positive, a null value that is not
 finite, an environment override that does not parse, ``--actor-attrs``
 or ``--event-attrs`` without ``--mapping``, or a mapping file that is
@@ -161,19 +170,27 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(out_dir: Path, command: str, options: dict, inputs, seed,
-                    started: float):
-    manifest = {
-        "command": command,
+def _write_outputs(out_dir: Path, outputs: dict, args, inputs, seed,
+                   wall_clock_s: float):
+    """Make ``out_dir`` and write each output into it, then
+    ``manifest.json``: a text output as it is, a dict through
+    ``_write_json``."""
+    outputs = {**outputs, "manifest.json": {
+        "command": args.command,
         "options": {k: (str(v) if isinstance(v, Path) else v)
-                    for k, v in sorted(options.items())
+                    for k, v in sorted(vars(args).items())
                     if k not in ("func", "command")},
         "inputs": {str(p): _sha256(p) for p in inputs},
         "seed": seed,
         "version": __version__,
-        "wall_clock_s": round(time.perf_counter() - started, 3),
-    }
-    _write_json(out_dir / "manifest.json", manifest)
+        "wall_clock_s": round(wall_clock_s, 3),
+    }}
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, body in outputs.items():
+        if isinstance(body, str):
+            (out_dir / name).write_text(body, encoding="utf-8")
+        else:
+            _write_json(out_dir / name, body)
 
 
 def _load_json(path, what: str):
@@ -208,16 +225,13 @@ def _load_mappings(path) -> list:
     return mappings
 
 
-def cmd_fit(args) -> int:
-    started = time.perf_counter()
+def cmd_fit(args) -> tuple:
     options = FitOptions(tol=args.tol, max_iter=args.max_iter)
     family = get_family(args.family)
     if args.mapping and not (args.actor_attrs and args.event_attrs):
         raise ConfigError("--mapping requires --actor-attrs and --event-attrs")
     if not args.mapping and (args.actor_attrs or args.event_attrs):
         raise ConfigError("--actor-attrs and --event-attrs require --mapping")
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     inputs = [args.edge_list]
 
     graph = load_edge_list(
@@ -243,16 +257,6 @@ def cmd_fit(args) -> int:
     result = fit(graph, covariates, family, options)
 
     rows = report_rows(result, method=args.method, bias_correct=args.bias_correct)
-    (out_dir / "report.tsv").write_text(_table(
-        map(operator.attrgetter(*REPORT_HEADER), rows), REPORT_HEADER,
-        comment=f"beta:{graph.n} ({graph.event_labels[-1]}) pinned to 0",
-    ), encoding="utf-8")
-    (out_dir / "trace.tsv").write_text(_table(
-        ((rec.outer_iteration, rec.inner_iterations, rec.degree_norm,
-          rec.covariate_norm, rec.linear_iterations) for rec in result.trace),
-        TRACE_HEADER,
-    ), encoding="utf-8")
-
     sidecar = {
         **components_from_fit(result, method=args.method).to_json(),
         "family": family.name,
@@ -270,43 +274,43 @@ def cmd_fit(args) -> int:
         ci = coefficient_inference(result, method=args.method)
         sidecar["gamma_bc"] = ci.estimate_bc.tolist()
         sidecar["bias_term"] = ci.b_star.tolist()
-    _write_json(out_dir / "fit.json", sidecar)
+    outputs = {
+        "report.tsv": _table(
+            map(operator.attrgetter(*REPORT_HEADER), rows), REPORT_HEADER,
+            comment=f"beta:{graph.n} ({graph.event_labels[-1]}) pinned to 0"),
+        "trace.tsv": _table(
+            ((rec.outer_iteration, rec.inner_iterations, rec.degree_norm,
+              rec.covariate_norm, rec.linear_iterations) for rec in result.trace),
+            TRACE_HEADER),
+        "fit.json": sidecar,
+    }
 
-    _write_manifest(out_dir, "fit", vars(args), inputs, None, started)
-    print(f"fit: {result.m} actors x {result.n} events, "
-          f"{result.covariates.p} covariates")
+    message = (f"fit: {result.m} actors x {result.n} events, "
+               f"{result.covariates.p} covariates\n")
     if result.covariates.p:
-        gam = ", ".join(f"{g:.4g}" for g in result.params.gamma)
-        print(f"gamma: [{gam}]")
-    print(f"wrote {out_dir / 'report.tsv'}")
-    return EXIT_OK
+        message += f"gamma: [{', '.join(f'{g:.4g}' for g in result.params.gamma)}]\n"
+    message += f"wrote {Path(args.out_dir) / 'report.tsv'}\n"
+    return outputs, inputs, None, message
 
 
-def cmd_simulate(args) -> int:
-    started = time.perf_counter()
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def cmd_simulate(args) -> tuple:
     scenario = Scenario.from_dict(_load_json(args.scenario, "scenario file"))
     if args.seed is not None:
         scenario = dataclasses.replace(scenario, seed=args.seed)
     summary = run_scenario(scenario, workers=args.threads)
-    (out_dir / "summary.tsv").write_text(
-        _table(summary.rows(), ("metric", "key", "value")), encoding="utf-8")
+    outputs = {"summary.tsv": _table(summary.rows(), ("metric", "key", "value"))}
     # one file of normalized statistics per tracked parameter, one value a line
     for key, samples in summary.zeta_samples.items():
-        (out_dir / f"qq_{key.replace(':', '_')}.txt").write_text(
-            _table((value,) for value in samples), encoding="utf-8")
-    _write_manifest(out_dir, "simulate", vars(args), [args.scenario],
-                    scenario.seed, started)
-    print(f"simulate: {scenario.replications} replications at "
-          f"({scenario.m}, {scenario.n}), L={scenario.L:.4g}, "
-          f"nonconvergence={summary.nonconvergence_rate:.2%}")
-    print(f"wrote {out_dir / 'summary.tsv'} and {len(summary.zeta_samples)} QQ files")
-    return EXIT_OK
+        outputs[f"qq_{key.replace(':', '_')}.txt"] = _table((value,) for value in samples)
+    message = (f"simulate: {scenario.replications} replications at "
+               f"({scenario.m}, {scenario.n}), L={scenario.L:.4g}, "
+               f"nonconvergence={summary.nonconvergence_rate:.2%}\n"
+               f"wrote {Path(args.out_dir) / 'summary.tsv'} and "
+               f"{len(summary.zeta_samples)} QQ files\n")
+    return outputs, [args.scenario], scenario.seed, message
 
 
-def cmd_test(args) -> int:
-    started = time.perf_counter()
+def cmd_test(args) -> tuple:
     comp = InferenceComponents.from_json(_load_json(args.fit_report, "fit report"))
     tests = [wald_from_components(comp, spec, args.null) for spec in args.contrast]
     body = _table(
@@ -314,14 +318,7 @@ def cmd_test(args) -> int:
          for t in tests),
         ("contrast", "estimate", "se", "statistic", "p_value"),
     )
-    sys.stdout.write(body)
-    if args.out_dir:
-        out_dir = Path(args.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "tests.tsv").write_text(body, encoding="utf-8")
-        _write_manifest(out_dir, "test", vars(args), [args.fit_report],
-                        None, started)
-    return EXIT_OK
+    return {"tests.tsv": body}, [args.fit_report], None, body
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -393,7 +390,13 @@ def main(argv=None) -> int:
     try:
         # the parser reads the environment overrides, so it is built here
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        started = time.perf_counter()
+        outputs, inputs, seed, message = args.func(args)
+        if args.out_dir is not None:
+            _write_outputs(Path(args.out_dir), outputs, args, inputs, seed,
+                           time.perf_counter() - started)
+        sys.stdout.write(message)
+        return EXIT_OK
     except (DataError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -495,8 +495,10 @@ def load_edge_list(
 
     Rows are ``actor_id <delim> event_id [<delim> weight]`` with weight
     defaulting to 1.  Labels keep first-appearance order.  In ``binary``
-    mode a duplicate (actor, event) pair is an error; in ``count`` mode
-    duplicates are summed only when ``sum_duplicates`` is set.  With
+    mode a duplicate (actor, event) pair is an error, also when
+    ``sum_duplicates`` is set (the message then says that summing applies
+    only to counts); in ``count`` mode duplicates are summed only when
+    ``sum_duplicates`` is set.  With
     ``strict=False`` malformed rows and extra columns are skipped instead
     of raising; ``binarize`` coerces any positive weight to 1 (the usual
     treatment of rating data).
@@ -542,6 +544,8 @@ def load_edge_list(
         message = f"duplicate edge ({actor_labels[rows[k]]}, {event_labels[cols[k]]})"
         if mode == "count":
             message += "; pass sum_duplicates to aggregate"
+        elif sum_duplicates:
+            message += "; sum_duplicates applies only to counts (count mode, a count family)"
         raise DataError(message, line_number=int(line_numbers[k]))
     if fault is not None:
         raise DataError(fault[1], line_number=first_line + fault[0])

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import plane_moments
-from .errors import ConfigError, ModelDegeneracyError
+from .errors import ConfigError, IllPosedError, ModelDegeneracyError
 from .fitter import (
     FitResult,
     StructuredJacobian,
@@ -183,7 +183,11 @@ def _covariance(fit: FitResult, method: str) -> np.ndarray:
     h = _linearization(fit)[0]
     if method not in ("fisher", "sandwich"):
         raise ConfigError(f"unknown covariance method {method!r}")
-    h_inv = np.linalg.inv(h)
+    try:
+        h_inv = np.linalg.inv(h)
+    except np.linalg.LinAlgError:  # dpotrf passed H on a pivot that rounded above 0
+        raise IllPosedError("profiled information matrix is singular; the coefficient "
+                            "estimate is ill-posed (degenerate covariates?)") from None
     if method == "fisher":
         cov = h_inv
     else:

@@ -76,8 +76,14 @@ class Scenario:
         if len(gamma_star) != COVARIATE_SCHEMES[self.scheme]:
             raise ConfigError(f"scheme {self.scheme!r} draws {COVARIATE_SCHEMES[self.scheme]} "
                               f"covariates, but gamma_star has {len(gamma_star)} values")
-        # the sign-product covariates are +-1, so the truth's predictor
-        # reaches 2 max(L, 0) + sum |gamma*|
+        # generate_truth multiplies L by k - 1 before it divides by k - 1, so
+        # its first alpha and beta, the largest in size, can overflow where L
+        # does not.  The covariates are +-1 (or absent), so the truth's
+        # predictor is at most |alpha_1| + |beta_1| + sum |gamma*| in size
+        # and reaches 2 max(L, 0) + sum |gamma*| upward.
+        alpha_1, beta_1 = ((k - 1.0) * self.L / (k - 1.0) for k in (self.m, self.n))
+        if not math.isfinite(abs(alpha_1) + abs(beta_1) + sum(abs(g) for g in gamma_star)):
+            raise ConfigError(f"scenario L={self.L:g} overflows the truth at ({self.m}, {self.n})")
         largest = 2.0 * max(self.L, 0.0) + sum(abs(g) for g in self.gamma_star)
         if family.name == "poisson" and largest > POISSON_ETA_CAP:
             raise ConfigError(
@@ -107,11 +113,6 @@ class Scenario:
             return cls(**d)
         except TypeError as exc:
             raise ConfigError(f"bad scenario: {exc}") from None
-
-
-def density_level_menu(m: int) -> dict:
-    """The four standard density regimes, keyed by their log-m factor."""
-    return {c: c * math.log(m) for c in (-0.2, 0.0, 0.2, 0.4)}
 
 
 def generate_truth(m: int, n: int, L: float, gamma_star) -> ParameterSet:

@@ -143,6 +143,7 @@ class TestFitCommand:
         rc = main(["fit", str(bad), "--out-dir", str(tmp_path / "out")])
         assert rc == EXIT_CONFIG
         assert "line 2" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_family(self, tmp_path, capsys):
         # checked before the edge list is read or the output directory made
@@ -255,7 +256,7 @@ class TestFitCommand:
         err = capsys.readouterr().err
         assert f"min_degree must be a number >= 0, got {float(value)!r}" in err
         assert "Traceback" not in err
-        assert not any(out.iterdir())
+        assert not out.exists()
 
     @pytest.mark.parametrize("field, value", [
         ("mappings", 5), ("mappings", None), ("groups", "abc"), ("groups", ["abc"]),
@@ -546,6 +547,7 @@ class TestSimulateCommand:
         path.write_text("{not json")
         rc = main(["simulate", str(path), "--out-dir", str(tmp_path / "out")])
         assert rc == EXIT_CONFIG
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("overrides, argv", [
         ({"seed": -3}, []),
@@ -559,10 +561,14 @@ class TestSimulateCommand:
         ({"gamma_star": [0.5]}, []),
         ({"gamma_star": [0.5, 1.0], "scheme": "none"}, []),
         (None, []),
+        # finite L whose truth (alpha_1 = 9 L / 9) or predictor overflows
+        ({"L": 1e308}, []),
+        ({"L": -1e308}, []),
+        ({"m": 2, "n": 2, "L": 1e308}, []),
     ], ids=["negative-seed", "negative-seed-flag", "fractional-seed",
             "fractional-m", "fractional-replications", "nan-L", "nan-gamma",
             "string-L_factor", "gamma-short-for-scheme", "gamma-long-for-scheme",
-            "json-list"])
+            "json-list", "huge-L", "huge-negative-L", "huge-L-2x2"])
     def test_malformed_scenario_is_config_error(self, tmp_path, capsys,
                                                 overrides, argv):
         raw = {"m": 10, "n": 10, "L": 0.0, "gamma_star": [0.5, 1.0],
@@ -580,7 +586,7 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "Traceback" not in err
-        assert not (out / "summary.tsv").exists()
+        assert not out.exists()
 
     def test_single_replication_smoke_is_fast(self, tmp_path):
         path = self.scenario_file(tmp_path, m=50, n=50, replications=1)

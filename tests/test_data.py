@@ -46,7 +46,7 @@ def reference_load_edge_list(
     strict: bool = True,
 ) -> BipartiteGraph:
     """The line-by-line edge-list reader that ``load_edge_list`` replaced,
-    kept unchanged as the oracle of its parity tests."""
+    kept as the oracle of its parity tests."""
     if mode not in ("binary", "count"):
         raise ConfigError(f"unknown edge-list mode {mode!r}")
     actor_index: dict = {}
@@ -93,7 +93,10 @@ def reference_load_edge_list(
             if (i, j) in entries:
                 if mode == "binary":
                     raise DataError(
-                        f"duplicate edge ({actor}, {event})", line_number=lineno
+                        f"duplicate edge ({actor}, {event})"
+                        + ("; sum_duplicates applies only to counts (count mode, "
+                           "a count family)" if sum_duplicates else ""),
+                        line_number=lineno,
                     )
                 if not sum_duplicates:
                     raise DataError(
@@ -274,8 +277,16 @@ class TestEdgeListIO:
     def test_duplicate_edge_binary_is_error(self, tmp_path):
         path = tmp_path / "dup.tsv"
         path.write_text("u1\tm1\nu1\tm1\n")
-        with pytest.raises(DataError, match="duplicate"):
+        with pytest.raises(DataError, match="duplicate") as plain:
             load_edge_list(path)
+        assert "sum_duplicates" not in str(plain.value)
+        # the flag does not sum 0/1 edges, and the error says so
+        with pytest.raises(DataError, match=r"duplicate edge \(u1, m1\); sum_duplicates "
+                                            r"applies only to counts \(count mode"):
+            load_edge_list(path, sum_duplicates=True)
+        # a file without duplicates still loads
+        path.write_text("u1\tm1\nu2\tm1\n")
+        assert load_edge_list(path, sum_duplicates=True).weights.sum() == 2.0
 
     def test_duplicates_summed_in_count_mode_with_flag(self, tmp_path):
         path = tmp_path / "dup.tsv"

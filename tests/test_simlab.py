@@ -29,7 +29,6 @@ from bimoment.errors import IllPosedError, ModelDegeneracyError, SingularJacobia
 from bimoment.inference import coefficient_inference
 from bimoment.simlab import (
     Z_95,
-    density_level_menu,
     run_replication,
     tracked_indices,
 )
@@ -56,12 +55,6 @@ class TestTruthProfiles:
     def test_last_event_parameter_exactly_zero(self):
         truth = generate_truth(7, 9, -1.3, ())
         assert truth.beta[-1] == 0.0
-
-    def test_density_menu(self):
-        menu = density_level_menu(100)
-        assert menu[0.0] == 0.0
-        assert menu[0.2] == pytest.approx(0.2 * math.log(100))
-        assert set(menu) == {-0.2, 0.0, 0.2, 0.4}
 
 
 class TestCovariateScheme:

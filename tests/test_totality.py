@@ -2,14 +2,15 @@
 either returns or raises one of the documented error classes, and the
 ``fit`` command on the same instance saved to disk, under valid and
 invalid ``--tol``/``--max-iter`` values, returns a documented exit code
-without a traceback."""
+without a traceback and makes its output directory only when it
+succeeds."""
 
 import contextlib
 import io
 import json
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bimoment import (
@@ -64,6 +65,13 @@ SOLVER_OPTIONS = st.one_of(st.none(), st.tuples(
 
 @settings(max_examples=150, deadline=None)
 @given(instances(), SOLVER_OPTIONS)
+# two identical covariates whose information matrix is exactly singular,
+# though its Cholesky factorization passes on a pivot that rounds above 0
+@example(("logistic",
+          BipartiteGraph(np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]),
+                         ("a0", "a1", "a2", "a3"), ("e0", "e1")),
+          2, {"a0": ["y", "y"], "a1": ["x", "x"], "a2": ["x", "x"], "a3": ["y", "y"]},
+          {"e0": ["x", "x"], "e1": ["y", "y"]}), None)
 def test_fit_and_cli_fail_only_with_documented_errors(tmp_path_factory, instance,
                                                       solver_options):
     family, graph, p, actor_rows, event_rows = instance
@@ -103,6 +111,8 @@ def test_fit_and_cli_fail_only_with_documented_errors(tmp_path_factory, instance
         code = cli.main(argv)
     assert code in EXIT_CODES
     assert "Traceback" not in stderr.getvalue()
+    # the output directory is made only by a run that succeeds
+    assert (work / "out").exists() == (code == cli.EXIT_OK)
     if solver_options is not None and not (np.isfinite(tol) and tol > 0
                                            and max_iter >= 1):
         assert code == cli.EXIT_CONFIG
