@@ -410,8 +410,8 @@ def _parse_block(text, delimiter, mode, binarize, strict, actor_index, event_ind
             values, parsed = map(np.array, zip(*map(_weight, weights.texts)))
             w[has_weight] = values[weights.inverse]
             bad_weight[has_weight] = ~parsed[weights.inverse]
-        if binarize:
-            w = np.where(w > 0, 1.0, 0.0)
+        if binarize:    # a weight that is not finite stays, to be out of range
+            w = np.where(np.isfinite(w), w > 0, w)
         fault[cand] = np.select(
             [
                 strict & (ncols[cand] > 3),
@@ -500,8 +500,9 @@ def load_edge_list(
     only to counts); in ``count`` mode duplicates are summed only when
     ``sum_duplicates`` is set.  With
     ``strict=False`` malformed rows and extra columns are skipped instead
-    of raising; ``binarize`` coerces any positive weight to 1 (the usual
-    treatment of rating data).
+    of raising; ``binarize`` coerces a finite weight to 1 when positive and to
+    0 otherwise (the usual treatment of rating data); a weight that is not
+    finite stays out of range.
 
     The file is parsed column-wise in blocks of about ``_BLOCK_CHARS``
     characters of whole lines, so the memory used beyond the accepted

@@ -64,6 +64,9 @@ class Scenario:
     def __post_init__(self):
         for name, least in (("m", 2), ("n", 2), ("replications", 1), ("seed", 0)):
             _integer(name, getattr(self, name), least)
+        if self.m * self.n > sys.maxsize // 8:
+            raise ConfigError(f"scenario m x n must be at most {sys.maxsize // 8}, the most "
+                              f"entries one float64 array can address")
         _finite("L", self.L)
         gamma_star = tuple(_finite("gamma_star", g) for g in self.gamma_star)
         object.__setattr__(self, "gamma_star", gamma_star)
@@ -320,12 +323,15 @@ def run_scenario(scenario: Scenario, workers: int = 1) -> ScenarioSummary:
     if workers < 1:
         raise ConfigError(f"workers must be at least 1, got {workers}")
     reps = range(scenario.replications)
+    chunksize = 8
+    # a pool starts all its workers at once: no more than the study has chunks
+    workers = min(workers, -(-scenario.replications // chunksize))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # a serial study never loads it
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(run_replication, [scenario] * scenario.replications,
-                                    reps, chunksize=8))
+                                    reps, chunksize=chunksize))
     else:
         records = [run_replication(scenario, r) for r in reps]
     good = [rec for rec in records if rec.converged]

@@ -113,19 +113,35 @@ class TestFitCommand:
         assert manifest["version"]
         assert manifest["wall_clock_s"] >= 0
 
-    def test_rerun_is_byte_identical(self, fixture_dir, fit_run, tmp_path):
-        out2 = tmp_path / "again"
-        rc = main([
-            "fit", str(fixture_dir.edges),
-            "--actor-attrs", str(fixture_dir.actor_attrs),
-            "--event-attrs", str(fixture_dir.event_attrs),
-            "--mapping", str(fixture_dir.mapping),
-            "--min-degree", str(fixture_dir.min_degree),
-            "--out-dir", str(out2),
-        ])
-        assert rc == EXIT_OK
+    @pytest.mark.parametrize("covariates, flags, crlf", [
+        (True, [], False),
+        (True, ["--method", "sandwich", "--bias-correct"], False),
+        # without covariates (p = 0) the general inference code runs on
+        # empty arrays, and the sandwich builds its score covariance from
+        # 0-size planes
+        (False, [], False),
+        (False, ["--method", "sandwich"], False),
+        # the rerun reads the edges with CRLF line ends and space-padded ids
+        (True, [], True),
+    ], ids=["fisher", "sandwich-bias-correct", "p0-fisher", "p0-sandwich", "crlf-padded-ids"])
+    def test_rerun_is_byte_identical(self, fixture_dir, tmp_path, covariates, flags, crlf):
+        edges = [fixture_dir.edges, fixture_dir.edges]
+        if crlf:
+            edges[1] = tmp_path / "crlf.tsv"
+            edges[1].write_bytes(b"".join(
+                b"  %s \t %s  \r\n" % tuple(line.split(b"\t"))
+                for line in fixture_dir.edges.read_bytes().splitlines()))
+        outs = [tmp_path / "first", tmp_path / "again"]
+        for path, out in zip(edges, outs):
+            argv = ["fit", str(path), "--min-degree", str(fixture_dir.min_degree),
+                    "--out-dir", str(out), *flags]
+            if covariates:
+                argv += ["--actor-attrs", str(fixture_dir.actor_attrs),
+                         "--event-attrs", str(fixture_dir.event_attrs),
+                         "--mapping", str(fixture_dir.mapping)]
+            assert main(argv) == EXIT_OK
         for name in ("report.tsv", "trace.tsv", "fit.json"):
-            assert (out2 / name).read_bytes() == (fit_run / name).read_bytes()
+            assert (outs[1] / name).read_bytes() == (outs[0] / name).read_bytes()
 
     def test_pure_degree_model_run(self, fixture_dir, tmp_path):
         rc = main([
@@ -186,6 +202,7 @@ class TestFitCommand:
             main(["fit", str(edges), "--family", "poisson", "--count-mode",
                   "--out-dir", str(tmp_path / "out")])
         assert exc.value.code == EXIT_CONFIG
+        assert not (tmp_path / "out").exists()
 
     def test_nonexistent_solution_exit_code(self, tmp_path):
         # an actor connected to every event has no finite estimate
@@ -283,7 +300,7 @@ class TestFitCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "Traceback" not in err
-        assert not (out / "report.tsv").exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize("flags", [
         ("--actor-attrs", "--event-attrs"), ("--actor-attrs",), ("--event-attrs",),
@@ -508,13 +525,25 @@ class TestSimulateCommand:
         assert all(len(path.read_text().splitlines()) == converged for path in qq)
         assert (out / "manifest.json").exists()
 
-    def test_rerun_byte_identical(self, tmp_path):
-        path = self.scenario_file(tmp_path)
+    @pytest.mark.parametrize("threads, overrides", [
+        (1, {}),
+        # a study keeps per-process caches; forked workers must still
+        # write what one process writes
+        (2, {"m": 30, "n": 24, "replications": 40, "seed": 5}),
+        (2, {"m": 40, "n": 30, "gamma_star": [], "scheme": "none",
+             "replications": 40, "seed": 3}),
+    ], ids=["serial", "two-workers", "two-workers-p0"])
+    def test_rerun_byte_identical(self, tmp_path, threads, overrides):
+        path = self.scenario_file(tmp_path, **overrides)
         out1, out2 = tmp_path / "o1", tmp_path / "o2"
         assert main(["simulate", str(path), "--out-dir", str(out1)]) == EXIT_OK
-        assert main(["simulate", str(path), "--out-dir", str(out2)]) == EXIT_OK
-        assert (out1 / "summary.tsv").read_bytes() == (out2 / "summary.tsv").read_bytes()
-        assert (out1 / "qq_alpha_1.txt").read_bytes() == (out2 / "qq_alpha_1.txt").read_bytes()
+        assert main(["simulate", str(path), "--threads", str(threads),
+                     "--out-dir", str(out2)]) == EXIT_OK
+        names = sorted(p.name for p in out1.iterdir() if p.name != "manifest.json")
+        assert names == sorted(p.name for p in out2.iterdir() if p.name != "manifest.json")
+        assert "summary.tsv" in names and "qq_beta_1.txt" in names
+        for name in names:
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
     def test_seed_override_changes_output(self, tmp_path):
         path = self.scenario_file(tmp_path)
@@ -535,7 +564,7 @@ class TestSimulateCommand:
                    "--out-dir", str(out)])
         assert rc == EXIT_CONFIG
         assert "workers must be at least 1" in capsys.readouterr().err
-        assert not (out / "summary.tsv").exists()
+        assert not out.exists()
 
     def test_unknown_family_in_scenario(self, tmp_path):
         path = self.scenario_file(tmp_path, family="probit")
@@ -565,10 +594,12 @@ class TestSimulateCommand:
         ({"L": 1e308}, []),
         ({"L": -1e308}, []),
         ({"m": 2, "n": 2, "L": 1e308}, []),
+        # too large for a float, and for any m x n array
+        ({"m": 10**400}, []),
     ], ids=["negative-seed", "negative-seed-flag", "fractional-seed",
             "fractional-m", "fractional-replications", "nan-L", "nan-gamma",
             "string-L_factor", "gamma-short-for-scheme", "gamma-long-for-scheme",
-            "json-list", "huge-L", "huge-negative-L", "huge-L-2x2"])
+            "json-list", "huge-L", "huge-negative-L", "huge-L-2x2", "400-digit-m"])
     def test_malformed_scenario_is_config_error(self, tmp_path, capsys,
                                                 overrides, argv):
         raw = {"m": 10, "n": 10, "L": 0.0, "gamma_star": [0.5, 1.0],
@@ -632,7 +663,7 @@ class TestSolverOptions:
         assert err.startswith("error: ")
         assert flag.replace("-", "_") in err
         assert "Traceback" not in err
-        assert not (out / "report.tsv").exists()
+        assert not out.exists()
 
 
 class TestEnvironmentOverrides:

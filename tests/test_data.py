@@ -80,7 +80,7 @@ def reference_load_edge_list(
                     continue
             else:
                 weight = 1.0
-            if binarize:
+            if binarize and np.isfinite(weight):
                 weight = 1.0 if weight > 0 else 0.0
             if not np.isfinite(weight) or weight < 0:
                 raise DataError(f"weight {weight!r} out of range", line_number=lineno)
@@ -157,7 +157,7 @@ KEYED_LABELS = (
     # their length-16 key rows share a hash, so only the rows tell them apart
     "aaaaaaaabbbbbbbb", "aaaaaaahbbbbbbba",
 )
-EDGE_WEIGHTS = ("1", "0", "2.5", " 3 ", "-1", "x", " x ", "inf", "nan", "1e3", "",
+EDGE_WEIGHTS = ("1", "0", "2.5", " 3 ", "-1", "x", " x ", "inf", "-inf", "nan", "1e3", "",
                 "3", "3 ", "\u00a03", "3\u3000", "\u2003", "3\x00")
 BLANK_LINES = ("", "  ", "\t", " \t ")
 
@@ -304,6 +304,17 @@ class TestEdgeListIO:
         path.write_text("\n".join(lines) + "\n")
         graph = load_edge_list(path, binarize=True)
         assert graph.total_weight == 50.0
+
+    @pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
+    def test_binarize_keeps_non_finite_weights_out_of_range(self, tmp_path, weight):
+        path = tmp_path / "ratings.tsv"
+        path.write_text(f"u1\tm1\t{weight}\nu1\tm2\t-3\n")
+        with pytest.raises(DataError) as exc:
+            load_edge_list(path, binarize=True)
+        assert str(exc.value) == f"line 1: weight {float(weight)!r} out of range"
+        # a negative finite rating still counts as no edge
+        path.write_text("u1\tm1\t4\nu1\tm2\t-3\n")
+        assert load_edge_list(path, binarize=True).weights.tolist() == [[1.0, 0.0]]
 
     def test_permissive_mode_skips_garbage(self, tmp_path):
         path = tmp_path / "mixed.tsv"

@@ -143,6 +143,13 @@ class TestScenario:
         with pytest.raises(ConfigError):
             Scenario(m=10, n=10, L=0.0, gamma_star=(), family="probit")
 
+    @pytest.mark.parametrize("m, n", [(10**400, 10), (2**32, 2**32)],
+                             ids=["400-digit-m", "2**32-square"])
+    def test_oversized_scenario_rejected(self, m, n):
+        # construction allocates nothing; only a study would
+        with pytest.raises(ConfigError, match="the most entries one float64 array"):
+            Scenario(m=m, n=n, L=0.0, gamma_star=(), scheme="none")
+
     def test_tracked_indices(self):
         t = tracked_indices(100, 100)
         assert t["alpha"] == (1, 50, 100)
@@ -248,10 +255,46 @@ class TestRunScenario:
             assert np.array_equal(a.zeta_samples[key], b.zeta_samples[key])
 
     def test_worker_count_does_not_change_results(self):
-        serial = run_scenario(self.SMALL, workers=1)
-        parallel = run_scenario(self.SMALL, workers=2)
+        # three chunks of replications, so both workers get some
+        scenario = Scenario(m=30, n=24, L=0.0, gamma_star=(0.5, 1.0),
+                            replications=20, seed=31)
+        serial = run_scenario(scenario, workers=1)
+        parallel = run_scenario(scenario, workers=2)
+        assert serial.converged == parallel.converged
         assert serial.mae == parallel.mae
         assert serial.coverage == parallel.coverage
+        assert serial.ci_length == parallel.ci_length
+        assert serial.zeta_samples.keys() == parallel.zeta_samples.keys()
+        for key, samples in serial.zeta_samples.items():
+            assert samples.tobytes() == parallel.zeta_samples[key].tobytes()
+
+    def test_pool_never_outnumbers_the_chunks(self, monkeypatch):
+        # a pool starts all its workers at once, so a stub records how many
+        # a study asks for instead of starting them
+        import concurrent.futures
+
+        started = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, *iterables, chunksize):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        # 17 replications make three chunks of 8; 3 make one, run serially
+        for replications in (17, 3):
+            scenario = Scenario(m=12, n=10, L=0.0, gamma_star=(), scheme="none",
+                                replications=replications, seed=2)
+            assert run_scenario(scenario, workers=5000).replications == replications
+        assert started == [3]
 
     def test_nonconverged_replications_excluded_but_counted(self):
         # very sparse tiny graphs frequently have zero-degree nodes
