@@ -194,12 +194,13 @@ def _write_outputs(out_dir: Path, outputs: dict, args, inputs, seed,
 
 
 def _load_json(path, what: str):
-    """Parse a JSON input; malformed JSON or text that is not UTF-8 is a
-    ``ConfigError`` naming the file and where it fails."""
+    """Parse a JSON input; malformed JSON, text that is not UTF-8 or
+    nesting too deep for the parser is a ``ConfigError`` naming the file
+    and where it fails."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise ConfigError(f"{what} {path}: {exc}") from None
 
 

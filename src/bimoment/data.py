@@ -232,12 +232,11 @@ def degrees(graph: BipartiteGraph) -> DegreeVector:
     return DegreeVector(d=graph.weights.sum(axis=1), b=graph.weights.sum(axis=0))
 
 
-# Characters of text parsed at a time (about 44k lines of a ratings file).
+# Bytes of the file read at a time (about 44k lines of a ratings file).
 # Each block decodes and looks up each of its distinct ids once, and a
 # ratings block repeats most of the event ids, so blocks are large.  Their
-# arrays peak at about 210 bytes per line of a ratings file (9 MB), below
-# the accepted edges' final concatenation.
-_BLOCK_CHARS = 1 << 19
+# arrays peak at about 210 bytes per line of a ratings file (9 MB).
+_BLOCK_BYTES = 1 << 19
 
 # The first check a line fails, in the order the checks apply (0 = none).
 _COLUMNS, _EMPTY_ID, _BAD_WEIGHT, _OUT_OF_RANGE, _NOT_BINARY = 1, 2, 3, 4, 5
@@ -247,24 +246,42 @@ _PREFIX = np.array([(1 << 64) - (1 << (64 - 8 * k)) for k in range(9)], np.uint6
 
 
 def _line_blocks(fh):
-    """Yield ``(number of the first line, text)`` for consecutive blocks of
-    whole lines of ``fh``, each block's lines joined by newlines.
+    r"""Yield consecutive blocks of whole lines of the binary file ``fh``,
+    each block's lines joined by ``\n``.  As with universal newlines,
+    ``\r\n`` and a lone ``\r`` end a line too; they become ``\n``, also
+    where a read splits a ``\r\n``.  Each block is checked to be UTF-8
+    before it is yielded, so a block that is not raises
+    ``UnicodeDecodeError``.
 
-    The last block is the text after the file's last newline, so it is
+    The last block is the bytes after the file's last newline, so it is
     empty (one blank line) when the file ends with a newline.
     """
-    first_line, pending = 1, []
-    for chunk in iter(partial(fh.read, _BLOCK_CHARS), ""):
-        cut = chunk.rfind("\n")
+    pending = []
+    for chunk in iter(partial(fh.read, _BLOCK_BYTES), b""):
+        while chunk.endswith(b"\r"):   # a "\n" that follows belongs to it
+            more = fh.read(1)
+            if not more:
+                break
+            chunk += more
+        if b"\r" in chunk:
+            chunk = chunk.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        cut = chunk.rfind(b"\n")
         if cut < 0:
             pending.append(chunk)
             continue
         pending.append(chunk[:cut])
-        text = "".join(pending)
+        block = b"".join(pending)
         pending = [chunk[cut + 1:]]
-        yield first_line, text
-        first_line += text.count("\n") + 1
-    yield first_line, "".join(pending)
+        yield _utf8(block)
+    yield _utf8(b"".join(pending))
+
+
+def _utf8(block: bytes) -> bytes:
+    """``block``, after checking that it is UTF-8: ASCII in one scan,
+    anything else by decoding it, which raises ``UnicodeDecodeError``."""
+    if not block.isascii():
+        block.decode()
+    return block
 
 
 _ALL = slice(None)
@@ -347,7 +364,7 @@ class _Tokens:
         first = np.minimum.reduceat(np.where(kept[self.order], self.order, n), self.heads)
         seen = np.flatnonzero(first < n)
         seen = seen[np.argsort(first[seen])]
-        position = np.zeros(len(labels), np.intp)
+        position = np.zeros(len(labels), np.int32)
         position[seen] = list(map(index.__getitem__, map(labels.__getitem__, seen.tolist())))
         return position[self.inverse[kept]]
 
@@ -362,22 +379,31 @@ def _weight(text) -> tuple:
         return math.nan, False
 
 
-def _parse_block(text, delimiter, mode, binarize, strict, actor_index, event_index) -> tuple:
-    """Check and parse the lines of one block, column-wise.
+def _parse_block(block, delimiter, mode, binarize, strict, actor_index, event_index) -> tuple:
+    r"""Check and parse the lines of one block (UTF-8 bytes, ``\n`` line
+    ends), column-wise.
 
-    Returns ``(lines, rows, cols, weights, fault)``: the block-relative
-    indices of the accepted lines before the block's first faulty line,
-    the positions of their stripped ids in ``actor_index`` and
+    Returns ``(n_lines, lines, rows, cols, weights, fault)``: the number
+    of lines in the block, the block-relative indices of the accepted
+    lines before the block's first faulty line (int32), the int32
+    positions of their stripped ids in ``actor_index`` and
     ``event_index`` (which gain the unseen ones), their weights, and
     ``(index, message)`` for that faulty line (None when the block has
     none).  In permissive mode the lines it skips are neither accepted nor
     faulty.
     """
-    # universal-newline reading leaves no "\r" in the text, so "\r" can stand
-    # for the delimiter; a delimiter with a newline splits no line
-    buf = (text if "\n" in delimiter else text.replace(delimiter, "\r")).encode() + bytes(8)
+    # tokens end at "\n" and at the byte ``sep``.  ``_line_blocks`` leaves no
+    # "\r" in a block, so "\r" stands for a delimiter of several bytes and
+    # matches nothing where the delimiter holds a newline or is a lone
+    # surrogate, which no UTF-8 block holds
+    sep = delimiter.encode("utf-8", "surrogatepass")
+    if "\n" in delimiter:
+        sep = b"\r"
+    elif len(sep) > 1:
+        block, sep = block.replace(sep, b"\r"), b"\r"
+    buf = block + bytes(8)
     marks = np.frombuffer(buf, np.uint8)[:-8]
-    ends = np.flatnonzero((marks == ord("\n")) | (marks == ord("\r")))
+    ends = np.flatnonzero((marks == ord("\n")) | (marks == sep[0]))
     last = np.append(np.flatnonzero(marks[ends] == ord("\n")), ends.size)
     ends = np.append(ends, marks.size)              # token t is buf[starts[t]:ends[t]]
     starts = np.append(0, ends[:-1] + 1)
@@ -387,7 +413,7 @@ def _parse_block(text, delimiter, mode, binarize, strict, actor_index, event_ind
     unsure = ncols < 2                          # lines that may be blank
     fault = np.where(unsure, _COLUMNS, 0)
     cand = np.flatnonzero(~unsure)              # lines with both ids
-    rows = cols = np.zeros(0, np.intp)
+    rows = cols = np.zeros(0, np.int32)
     w = np.ones(cand.size)
     if cand.size:
         fc = first[cand]
@@ -436,9 +462,9 @@ def _parse_block(text, delimiter, mode, binarize, strict, actor_index, event_ind
     if cand.size:
         rows = actors.enter(actor_index, actor_labels, keep)
         cols = events.enter(event_index, event_labels, keep)
-    accepted = (cand[keep], rows, cols, w[keep])
+    accepted = (cand[keep].astype(np.int32), rows, cols, w[keep])
     if stop == n_lines:
-        return accepted + (None,)
+        return (n_lines,) + accepted + (None,)
     k = np.searchsorted(cand, stop)
     if fault[stop] == _COLUMNS:
         message = f"expected 2 or 3 columns, got {ncols[stop]}"
@@ -451,7 +477,7 @@ def _parse_block(text, delimiter, mode, binarize, strict, actor_index, event_ind
         message = f"weight {float(w[k])!r} out of range"
     else:
         message = f"weight {float(w[k]):g} invalid for binary mode"
-    return accepted + ((stop, message),)
+    return (n_lines,) + accepted + ((stop, message),)
 
 
 def _check_delimiter(delimiter: str):
@@ -483,6 +509,15 @@ def _first_repeat(keys: np.ndarray) -> int:
     return int(np.argmax(repeat))
 
 
+def _line_number(k: int, line_numbers: list) -> int:
+    """The line of accepted edge ``k``, from each block's first line number
+    and its accepted lines' offsets."""
+    for first_line, lines in line_numbers:
+        if k < lines.size:
+            return first_line + int(lines[k])
+        k -= lines.size
+
+
 def load_edge_list(
     path,
     delimiter: str = "\t",
@@ -504,50 +539,61 @@ def load_edge_list(
     0 otherwise (the usual treatment of rating data); a weight that is not
     finite stays out of range.
 
-    The file is parsed column-wise in blocks of about ``_BLOCK_CHARS``
-    characters of whole lines, so the memory used beyond the accepted
-    edges and the weight matrix is bounded per block.  No Python code runs
+    The file is read as bytes and parsed column-wise in blocks of about
+    ``_BLOCK_BYTES`` bytes of whole lines, so the memory used beyond the
+    accepted edges (two int32 indices and a float weight each) and the
+    weight matrix is bounded per block.  No Python code runs
     per token: the equal tokens of a column are grouped by numpy sorts on
     their bytes, and each distinct token is decoded, stripped, checked and
     looked up once per block, so ids and weights keep the exact semantics
     of ``str.strip`` and ``float``.  When the file has
     several faults, the one on the earliest line is raised, with that
     line's number.  A file that is not valid UTF-8 raises ``DataError``
-    when the block holding its first bad byte is read.
+    when the block of whole lines holding its first bad byte is read.
     """
     if mode not in ("binary", "count"):
         raise ConfigError(f"unknown edge-list mode {mode!r}")
     _check_delimiter(delimiter)
     actor_index = defaultdict(count().__next__)
     event_index = defaultdict(count().__next__)
-    accepted = []       # per block: (rows, cols, weights, line numbers)
-    fault = None
+    accepted = []       # per block: (rows, cols, weights) of its accepted lines
+    line_numbers = []   # per block: (its first line, its accepted lines' offsets)
+    first_line, fault = 1, None
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for first_line, text in _line_blocks(fh):
-                lines, rows, cols, w, fault = _parse_block(
-                    text, delimiter, mode, binarize, strict, actor_index, event_index
+        with open(path, "rb") as fh:
+            for block in _line_blocks(fh):
+                n_lines, lines, rows, cols, w, fault = _parse_block(
+                    block, delimiter, mode, binarize, strict, actor_index, event_index
                 )
-                accepted.append((rows, cols, w, first_line + lines))
+                accepted.append((rows, cols, w))
+                line_numbers.append((first_line, lines))
                 if fault is not None:
                     break
+                first_line += n_lines
     except UnicodeDecodeError:
         raise _not_utf8(path) from None
-    rows, cols, w, line_numbers = map(np.concatenate, zip(*accepted))
-    del accepted        # the per-block copies; keeps the peak below the old reader's
+    rows, cols, w = zip(*accepted)
+    del accepted
+    # one column at a time, so each column's blocks are freed once joined
+    rows = np.concatenate(rows)
+    cols = np.concatenate(cols)
+    w = np.concatenate(w)
     actor_labels, event_labels = tuple(actor_index), tuple(event_index)
     m, n = len(actor_labels), len(event_labels)
-    flat = rows * n + cols
+    flat = np.multiply(rows, n, dtype=np.intp)
+    flat += cols
+    del rows, cols
     if (mode == "binary" or not sum_duplicates) and \
             np.bincount(flat, minlength=m * n).max(initial=0) > 1:
         # every accepted line precedes the first faulty one, so a repeat wins
         k = _first_repeat(flat)
-        message = f"duplicate edge ({actor_labels[rows[k]]}, {event_labels[cols[k]]})"
+        i, j = divmod(int(flat[k]), n)
+        message = f"duplicate edge ({actor_labels[i]}, {event_labels[j]})"
         if mode == "count":
             message += "; pass sum_duplicates to aggregate"
         elif sum_duplicates:
             message += "; sum_duplicates applies only to counts (count mode, a count family)"
-        raise DataError(message, line_number=int(line_numbers[k]))
+        raise DataError(message, line_number=_line_number(k, line_numbers))
     if fault is not None:
         raise DataError(fault[1], line_number=first_line + fault[0])
     if not flat.size:

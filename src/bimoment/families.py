@@ -108,19 +108,26 @@ class LogisticFamily(ModelFamily):
         return self._mu(eta)
 
     def mean_d1(self, eta):
-        mu = self._mu(eta)
-        return mu * (1.0 - mu)
+        return self.mean_d1_given_mean(eta, self._mu(eta))
 
     def mean_d1_given_mean(self, eta, mu):
-        return mu * (1.0 - mu)
+        # mu (1 - mu), formed in the one array ``1 - mu``; ``mu`` is kept
+        slope = np.subtract(1.0, mu)
+        slope *= mu
+        return slope[()]
 
     def mean_d2(self, eta):
+        # mu (1 - mu) (1 - 2 mu), in two arrays: the slope, and the mean
+        # turned in place into 1 - 2 mu (-2 mu + 1 is exact as 1 - 2 mu is)
         mu = self._mu(eta)
-        return mu * (1.0 - mu) * (1.0 - 2.0 * mu)
+        curvature = self.mean_d1_given_mean(eta, mu)
+        mu *= -2.0
+        mu += 1.0
+        curvature *= mu
+        return curvature[()]
 
     def variance(self, eta):
-        mu = self._mu(eta)
-        return mu * (1.0 - mu)
+        return self.mean_d1(eta)
 
     def sample(self, eta, rng):
         mu = self._mu(eta)

@@ -40,8 +40,12 @@ totals ``sum_ij z_ij w_ij``, ``A`` and the mixed derivatives ``C``) is a
 BLAS product on the per-covariate planes of ``CovariateTensor``, which
 says which product each one is; ``C`` and ``A`` share one pass.
 
-The factorizations and their solves call LAPACK ``dpotrf``/``dpotrs``
-from scipy's compiled module ``scipy.linalg._flapack``, which
+The dense kernels: the Schur complement is one BLAS syrk, its
+factorization and solves are LAPACK ``dpotrf``/``dpotrs``, the inverse
+at the estimate takes the complement's inverse from one ``dpotri`` on
+the same factor, and each CG product is two BLAS gemm with the cross
+block, both run as (few columns) x (cross block).  LAPACK comes from
+scipy's compiled module ``scipy.linalg._flapack``, which
 ``load_compiled`` reads from its file so that importing the package runs
 no scipy package ``__init__``; inference takes the normal tail ``ndtr``
 from ``scipy.special._special_ufuncs`` through the same loader.
@@ -106,9 +110,9 @@ def load_compiled(name: str):
 
 try:
     _flapack = load_compiled("scipy.linalg._flapack")
-    dpotrf, dpotrs = _flapack.dpotrf, _flapack.dpotrs
+    dpotrf, dpotri, dpotrs = _flapack.dpotrf, _flapack.dpotri, _flapack.dpotrs
 except ImportError:
-    from scipy.linalg.lapack import dpotrf, dpotrs
+    from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
 
 # glibc's malloc raises its heap trim threshold to twice the largest
 # mmap-backed block freed so far.  Below about 1 MB, the heap a (100, 100)
@@ -130,11 +134,12 @@ MAX_HALVINGS = 30
 # Newton directions go to preconditioned CG (``StructuredJacobian.pcg_solve``)
 # once the side the Schur complement keeps, k = min(m, n-1), has this many
 # nodes.  Measured with one BLAS thread on logistic slopes at L = 0 and
-# L = -log m, per solve of 3 right-hand sides, factored vs CG: (200, 200)
-# 1.1-1.4 vs 1.2-1.7 ms, (256, 256) 1.6-2.1 vs 1.2-1.6 ms, (300, 300)
-# 2.5-4.0 vs 1.5-1.8 ms, (695, 755) 29-43 vs 12-14 ms, and (100, 1500),
-# which stays factored, 1.6-1.7 vs 2.5-3.3 ms.  With one right-hand side
-# the crossover is near k = 150-200.
+# L = -log m, per solve of 3 right-hand sides (syrk complement, direct
+# ``dpotrf``), factored vs CG over three runs: (200, 200) 0.54-0.82 vs
+# 0.45-1.04 ms, (256, 256) 1.0-1.5 vs 0.6-1.3 ms, (300, 300) 1.5-2.1 vs
+# 0.7-1.5 ms, (695, 755) 14-19 vs 4.9-9.2 ms, and (100, 1500), which stays
+# factored, 1.0-1.4 vs 1.3-2.8 ms.  With one right-hand side the crossover
+# is near k = 150-200.
 PCG_MIN_KEPT = 256
 # Each column is solved to this relative residual, in the preconditioned
 # norm.  No inexact-Newton forcing: a looser solve saves a few O(mn)
@@ -314,22 +319,26 @@ class StructuredJacobian:
     def schur_complement(self) -> np.ndarray:
         """The kept block's Schur complement ``diag(d_kept) - s s^T`` with
         ``s = cross_ke diag(d_elim)^{-1/2}``: ``s s^T`` is one BLAS syrk,
-        half the flops of a general product, and exactly symmetric."""
+        half the flops of a general product, and exactly symmetric.  It is
+        negated and its diagonal raised by ``d_kept`` in place, so no
+        second k x k array is made."""
         _kept, _elim, d_kept, d_elim, cross_ke = self._sides
         s = cross_ke / np.sqrt(d_elim)
-        complement = np.diag(d_kept)
-        complement -= s @ s.T
+        complement = s @ s.T
+        np.negative(complement, out=complement)
+        np.fill_diagonal(complement, complement.diagonal() + d_kept)
         return complement
 
     @cached_property
     def _schur_factor(self):
         """Lower Cholesky factor of ``schur_complement`` by LAPACK
-        ``dpotrf``, or ``None`` when the kept block is empty (a single
-        event).  The complement is exactly symmetric, so its transpose is
-        the same matrix in Fortran order, factored in place."""
+        ``dpotrf``, its upper triangle zeroed, or ``None`` when the kept
+        block is empty (a single event).  The complement is exactly
+        symmetric, so its transpose is the same matrix in Fortran order,
+        factored in place."""
         if self.n == 1:
             return None
-        factor, info = dpotrf(self.schur_complement().T, lower=1, clean=0, overwrite_a=1)
+        factor, info = dpotrf(self.schur_complement().T, lower=1, clean=1, overwrite_a=1)
         if info > 0:
             raise SingularJacobianError(
                 f"Schur complement not PD: its leading minor of order {info} is not"
@@ -345,6 +354,20 @@ class StructuredJacobian:
         if self._schur_factor is None:
             return rhs
         return dpotrs(self._schur_factor, rhs, lower=1, overwrite_b=1)[0]
+
+    def _complement_inverse(self) -> np.ndarray:
+        """The inverse of the Schur complement, by one LAPACK ``dpotri`` on
+        a copy of the cached factor, which ``solve`` keeps using.
+        ``dpotri`` writes the lower triangle and leaves the factor's zero
+        upper triangle, so adding the transpose and halving the diagonal
+        mirrors it exactly.  A zero pivot cannot reach here: ``dpotrf``
+        rejects a matrix that is not positive definite."""
+        if self._schur_factor is None:
+            return np.zeros((0, 0))
+        inverse = dpotri(self._schur_factor, lower=1)[0]
+        inverse += inverse.T
+        np.fill_diagonal(inverse, 0.5 * inverse.diagonal())
+        return inverse
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve ``V x = rhs`` exactly; accepts a vector or a matrix of
@@ -364,9 +387,15 @@ class StructuredJacobian:
         """The parts of the exact inverse the inference formulas read:
         ``(inv_alpha_diag, inv_cross, inv_beta_diag)``, the diagonal of the
         actor block (length m), the dense actor-event block (m x (n-1)) and
-        the diagonal of the event block (length n-1)."""
-        _kept, _elim, d_kept, d_elim, cross_ke = self._sides
-        inv_kept = self._complement_solve(np.eye(d_kept.size, order="F"))
+        the diagonal of the event block (length n-1).
+
+        The kept block's inverse is the complement's, from one LAPACK
+        ``dpotri`` on the cached factor (``_complement_inverse``): 15 ms
+        with its mirroring at (695, 755), where ``dpotrs`` against an
+        identity took 35 ms (one BLAS thread); the rest
+        is one BLAS gemm of the eliminated side with it."""
+        _kept, _elim, _d_kept, d_elim, cross_ke = self._sides
+        inv_kept = self._complement_inverse()
         g = cross_ke.T / d_elim[:, None]
         g_inv = g @ inv_kept
         inv_elim_diag = 1.0 / d_elim + np.einsum("ij,ij->i", g_inv, g)
@@ -417,13 +446,16 @@ class StructuredJacobian:
         return (x[:, 0] if rhs.ndim == 1 else x), iterations
 
     def _product(self, x: np.ndarray) -> np.ndarray:
-        """``V @ x`` for stacked columns, from the slopes: two BLAS
-        products with the cross block, no matrix formed.  The event side
-        is computed as ``(x_a^T W)^T``: with a few columns OpenBLAS runs
-        that about twice as fast as ``W^T x_a``."""
+        """``V @ x`` for stacked columns, from the slopes: two BLAS gemm
+        with the cross block, no matrix formed.  Both sides run with the
+        few columns first, the actor side as ``(x_e^T W^T)^T`` and the
+        event side as ``(x_a^T W)^T``: with a few columns OpenBLAS runs
+        these faster than ``W x_e`` (quartiles 0.50-0.52 against 0.65-0.68
+        ms at (695, 755) with 3 columns, the same bits) and about twice as fast
+        as ``W^T x_a``."""
         actors, events = x[: self.m], x[self.m :]
         out = np.empty_like(x)
-        out[: self.m] = self.cross @ events
+        out[: self.m] = (events.T @ self.cross.T).T
         out[: self.m] += self.diag_alpha[:, None] * actors
         out[self.m :] = (actors.T @ self.cross).T
         out[self.m :] += self.diag_beta[:, None] * events

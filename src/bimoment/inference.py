@@ -121,7 +121,11 @@ def _degree_se(u_diag, v_diag, u_tail, v_tail, slot, other=None):
     def own(k):
         return u_diag[k] / np.square(v_diag[k])
 
-    return np.sqrt(own(slot) + (u_tail / v_tail**2 if other is None else own(other)))
+    # a numpy scalar, so a tail whose square under- or overflows gives an
+    # infinite or zero standard error where a Python float raises; ``**``
+    # keeps the bits of C ``pow``, which ``np.square`` does not
+    tail = u_tail / np.float64(v_tail) ** 2
+    return np.sqrt(own(slot) + (tail if other is None else own(other)))
 
 
 @dataclass(frozen=True)
@@ -351,12 +355,12 @@ def parse_contrast(spec: str) -> Contrast:
         null_value = float(null) if null is not None else 0.0
     except ValueError:
         raise ConfigError(f"bad null value in contrast {spec!r}") from None
-    return Contrast(
-        kind=kind,
-        index=int(idx),
-        other_index=int(idx2) if idx2 is not None else None,
-        null_value=null_value,
-    )
+    try:
+        index, other_index = int(idx), int(idx2) if idx2 is not None else None
+    except ValueError:      # more digits than ``int`` converts from text
+        raise ConfigError(f"index too long in contrast {spec[:40]!r}...") from None
+    return Contrast(kind=kind, index=index, other_index=other_index,
+                    null_value=null_value)
 
 
 @dataclass(frozen=True)

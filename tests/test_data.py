@@ -361,7 +361,7 @@ class TestEdgeListParity:
         st.booleans(),
         st.booleans(),
         st.booleans(),
-        st.sampled_from((1, 2, 3, 5, 8, 1 << 16, data._BLOCK_CHARS)),
+        st.sampled_from((1, 2, 3, 5, 8, 1 << 16, data._BLOCK_BYTES)),
     )
     @example(("u\tm\t x \r\n", "\t"), "count", False, False, True, 1 << 16)
     def test_matches_line_by_line_reader(
@@ -372,7 +372,7 @@ class TestEdgeListParity:
         path.write_bytes(text.encode("utf-8"))
         options = dict(delimiter=delimiter, mode=mode, sum_duplicates=sum_duplicates,
                        binarize=binarize, strict=strict)
-        with mock.patch.object(data, "_BLOCK_CHARS", block):
+        with mock.patch.object(data, "_BLOCK_BYTES", block):
             outcome = load_outcome(load_edge_list, path, **options)
         assert outcome == load_outcome(reference_load_edge_list, path, **options)
 
@@ -387,8 +387,8 @@ class TestEdgeListParity:
         path = tmp_path / "long.tsv"
         path.write_text("\n".join(lines) + "\n")
         # blocks of 64 Ki characters, so the faults lie past the first one
-        with mock.patch.object(data, "_BLOCK_CHARS", 1 << 16):
-            assert sum(len(line) + 1 for line in lines[:8000]) > data._BLOCK_CHARS
+        with mock.patch.object(data, "_BLOCK_BYTES", 1 << 16):
+            assert sum(len(line) + 1 for line in lines[:8000]) > data._BLOCK_BYTES
             with pytest.raises(DataError) as exc:
                 load_edge_list(path)
         assert str(exc.value) == expected
@@ -424,6 +424,40 @@ class TestEdgeListParity:
             graph.weights.tobytes(),
         )
         assert peak < 6 * path.stat().st_size
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 4, 5, 6, 7, 8])
+    def test_line_ends_split_across_reads(self, tmp_path, block):
+        # at some block size a read ends between each "\r" and the byte
+        # after it: a "\r\n" ends one line, "\r\r" two
+        path = tmp_path / "cr.tsv"
+        path.write_bytes(b"u1\tm1\r\nu2\tm2\r\ru3\tm3\r\n\r\nu4\tm4\r")
+        bad = tmp_path / "cr_bad.tsv"
+        bad.write_bytes(b"u1\tm1\r\n\r\rjunk\r\nu2\tm2\n")
+        with mock.patch.object(data, "_BLOCK_BYTES", block):
+            graph = load_outcome(load_edge_list, path)
+            fault = load_outcome(load_edge_list, bad)
+        assert graph == load_outcome(reference_load_edge_list, path)
+        assert graph[:2] == (("u1", "u2", "u3", "u4"), ("m1", "m2", "m3", "m4"))
+        assert fault == (DataError, "line 4: expected 2 or 3 columns, got 1")
+        assert fault == load_outcome(reference_load_edge_list, bad)
+
+    def test_accepted_edges_keep_memory_bounded_by_the_file(self, tmp_path):
+        # two int32 indices and a weight per accepted edge, joined one
+        # column at a time: the final phase peaks near 4 times the file
+        # (64 bytes per 9-byte line with 8-byte indices and line numbers
+        # joined all at once read 6.8)
+        lines = [f"u{i % 600}\tm{i // 600}" for i in range(180_000)]
+        path = tmp_path / "many.tsv"
+        path.write_text("\n".join(lines) + "\n")
+        with mock.patch.object(data, "_BLOCK_BYTES", 1 << 16):
+            tracemalloc.start()
+            try:
+                graph = load_edge_list(path)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert graph.weights.shape == (600, 300) and graph.weights.all()
+        assert peak < 5 * path.stat().st_size
 
     def test_negative_zero_weights_keep_their_sign(self, tmp_path):
         path = tmp_path / "zeros.tsv"

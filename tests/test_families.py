@@ -97,6 +97,22 @@ class TestDerivativeConsistency:
             assert family.mean_d1_given_mean(scalar, family.mean(scalar)) == \
                 family.mean_d1(scalar)
 
+    def test_logistic_derivatives_in_place_are_exact(self):
+        # slope and curvature are formed in place, with the very bits of
+        # mu (1 - mu) and mu (1 - mu) (1 - 2 mu), and touch neither the
+        # caller's eta nor its mean; a 0-d input gives a numpy float
+        eta = np.concatenate([ETA_GRID, [-LOGISTIC_ETA_CAP, LOGISTIC_ETA_CAP, 1e6, -0.0]])
+        for values in (eta, eta[:80].reshape(8, 10), np.float64(0.7), np.array(-1.3), 2.0):
+            mu = LOGISTIC.mean(values)
+            eta_before, mu_before = np.copy(values), np.copy(mu)
+            slope = LOGISTIC.mean_d1_given_mean(values, mu)
+            curvature = LOGISTIC.mean_d2(values)
+            assert np.array_equal(slope, mu * (1.0 - mu))
+            assert np.array_equal(curvature, mu * (1.0 - mu) * (1.0 - 2.0 * mu))
+            assert np.array_equal(values, eta_before) and np.array_equal(mu, mu_before)
+            if np.ndim(values) == 0:
+                assert type(slope) is np.float64 and type(curvature) is np.float64
+
     @pytest.mark.parametrize("family", [LOGISTIC, POISSON], ids=lambda f: f.name)
     def test_mean_strictly_increasing(self, family):
         values = family.mean(ETA_GRID)

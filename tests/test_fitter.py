@@ -231,7 +231,9 @@ class TestStructuredSolve:
 
 class ChoJacobian(StructuredJacobian):
     """The exact solves through scipy's ``cho_factor``/``cho_solve``
-    wrappers, the reference for the direct LAPACK calls."""
+    wrappers, and the complement's inverse through ``cho_factor`` and the
+    public ``scipy.linalg.lapack.dpotri``: the reference for the direct
+    LAPACK calls."""
 
     @cached_property
     def _schur_factor(self):
@@ -240,10 +242,15 @@ class ChoJacobian(StructuredJacobian):
     def _complement_solve(self, rhs):
         return scipy.linalg.cho_solve(self._schur_factor, rhs)
 
+    def _complement_inverse(self):
+        factor, lower = self._schur_factor
+        inverse = np.tril(scipy.linalg.lapack.dpotri(factor, lower=lower)[0])
+        return inverse + np.tril(inverse, -1).T
+
 
 class TestDirectLapack:
-    """``dpotrf``/``dpotrs`` called directly give the very bits of scipy's
-    ``cho_factor``/``cho_solve``."""
+    """``dpotrf``/``dpotrs``/``dpotri`` called directly give the very bits
+    of scipy's ``cho_factor``/``cho_solve`` and its public ``dpotri``."""
 
     # kept side of 1, 2 and 100 nodes, keeping the actors (m <= n-1) and
     # keeping the events
@@ -260,6 +267,11 @@ class TestDirectLapack:
             assert np.array_equal(rhs, before)   # the caller's right-hand side is kept
         for got, expected in zip(jac.inverse_blocks(), ref.inverse_blocks()):
             assert np.array_equal(got, expected)
+        # the mirrored dpotri inverse is exactly symmetric, and the cached
+        # factor it copies still gives the same solves
+        inverse = jac._complement_inverse()
+        assert np.array_equal(inverse, inverse.T)
+        assert np.array_equal(jac.solve(stacked), ref.solve(stacked))
 
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_newton_direction_matches_cho_wrappers(self, rng, p):
@@ -326,6 +338,7 @@ class TestDirectLapack:
             "import scipy.linalg.lapack as lapack, scipy.special as special\n"
             "import bimoment.fitter as fitter\n"
             "assert fitter.dpotrf is lapack.dpotrf and fitter.dpotrs is lapack.dpotrs\n"
+            "assert fitter.dpotri is lapack.dpotri\n"
             "assert ndtr is special.ndtr\n")
 
     def test_public_import_when_direct_load_fails(self):
@@ -339,6 +352,7 @@ class TestDirectLapack:
             "assert 'scipy.linalg' in sys.modules\n"
             "import scipy.linalg.lapack as lapack\n"
             "assert fitter.dpotrf is lapack.dpotrf and fitter.dpotrs is lapack.dpotrs\n"
+            "assert fitter.dpotri is lapack.dpotri\n"
             + self.FIT_BITS)
         assert out == self.run_fresh(self.FIT_BITS)
 
@@ -590,6 +604,17 @@ def above_the_gate(family, p):
 
 
 class TestIterativeSolve:
+    # kept sides of 6 and 256 nodes (PCG_MIN_KEPT), keeping the actors
+    # (m <= n-1) and keeping the events
+    @pytest.mark.parametrize("shape", [(6, 10), (10, 7), (256, 300), (300, 257)])
+    def test_product_matches_dense(self, rng, shape):
+        jac = StructuredJacobian(rng.uniform(1e-3, 0.25, size=shape))
+        dense = jac.dense()
+        stacked = rng.normal(size=(jac.dim, 3))
+        for x in (stacked[:, :1], stacked):
+            np.testing.assert_allclose(jac._product(x), dense @ x, rtol=1e-13,
+                                       atol=1e-13 * np.abs(dense @ x).max())
+
     @settings(max_examples=200, deadline=None)
     @given(slopes_and_rhs())
     def test_matches_exact_solve(self, case):

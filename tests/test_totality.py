@@ -3,9 +3,11 @@ either returns or raises one of the documented error classes, and the
 ``fit`` command on the same instance saved to disk, under valid and
 invalid ``--tol``/``--max-iter`` values, returns a documented exit code
 without a traceback and makes its output directory only when it
-succeeds."""
+succeeds.  The ``test`` command, on mutated ``fit.json`` sidecars and
+generated contrast strings, does the same."""
 
 import contextlib
+import dataclasses
 import io
 import json
 
@@ -17,6 +19,7 @@ from bimoment import (
     BipartiteGraph,
     DataError,
     FitError,
+    InferenceComponents,
     IllPosedError,
     MatchMapping,
     NodeAttributeTable,
@@ -116,3 +119,93 @@ def test_fit_and_cli_fail_only_with_documented_errors(tmp_path_factory, instance
     if solver_options is not None and not (np.isfinite(tol) and tol > 0
                                            and max_iter >= 1):
         assert code == cli.EXIT_CONFIG
+
+
+# A valid sidecar of a 3 x 4 fit with two coefficients, the fields ``test``
+# reads; each example mutates a copy of it.
+SIDECAR = InferenceComponents(
+    m=3, n=4, theta=[0.4, -0.2, 0.1, 0.3, -0.5, 0.0], gamma=[0.5, -1.0],
+    v_diag=[2.0, 1.5, 1.0, 1.2, 0.8, 2.5], v_tail=1.5,
+    u_diag=[2.1, 1.4, 1.1, 1.0, 0.9, 2.4], u_tail=1.6,
+    gamma_covariance=[[0.04, 0.01], [0.01, 0.09]],
+).to_json()
+FIELDS = tuple(f.name for f in dataclasses.fields(InferenceComponents))
+# ill-typed, non-finite and extreme finite values (a tail whose square
+# under- or overflows, an integer too large for a float)
+ODD = st.one_of(
+    st.sampled_from((None, True, "1", {}, [], [[]], [1, "x"], 0, -1, 2.5,
+                     float("nan"), float("inf"), -float("inf"), 5e-324, 1e-170,
+                     1e200, 1.7976931348623157e308, 10**400)),
+    st.floats(), st.integers(-3, 8),
+    st.lists(st.one_of(st.floats(), st.integers(-3, 3), st.none()), max_size=8),
+    st.lists(st.lists(st.floats(), max_size=3), max_size=3),
+)
+
+
+@st.composite
+def sidecars(draw):
+    """The text of a ``fit.json`` with up to three of its fields dropped,
+    replaced, cut or lengthened, or with one entry of an array replaced;
+    now and then not an object at all."""
+    raw = json.loads(json.dumps(SIDECAR))
+    for name in draw(st.lists(st.sampled_from(FIELDS), max_size=3, unique=True)):
+        how = draw(st.sampled_from(("drop", "replace", "length", "entry")))
+        value = raw[name]
+        if how == "drop":
+            del raw[name]
+        elif how == "replace" or not isinstance(value, list):
+            raw[name] = draw(ODD)
+        elif how == "length":
+            raw[name] = value[:draw(st.integers(0, len(value)))] + draw(
+                st.lists(st.floats(-2, 2), max_size=2))
+        elif value:
+            value[draw(st.integers(0, len(value) - 1))] = draw(ODD)
+    return json.dumps(draw(st.one_of(st.just(raw), st.just(raw), ODD)))
+
+
+NUMBERS = st.one_of(st.sampled_from(("0", "1.5", "-2", "1e999", "1e-999", "nan",
+                                     "inf", "1..2", "e", "+-", "")),
+                    st.floats().map(repr))
+
+
+@st.composite
+def contrasts(draw):
+    """A contrast in the grammar ``parse_contrast`` reads, with indices
+    out of range, kinds that differ or do not exist, and odd null values;
+    or any short text."""
+    kinds = st.sampled_from(("alpha", "beta", "gamma", "delta", ""))
+    indices = st.one_of(st.integers(-1, 7).map(str), st.just("9" * 30), st.just(""))
+    spec = f"{draw(kinds)}:{draw(indices)}"
+    if draw(st.booleans()):
+        spec += f"{draw(st.sampled_from(('-', ' - ')))}{draw(kinds)}:{draw(indices)}"
+    if draw(st.booleans()):
+        spec += f"{draw(st.sampled_from(('=', ' = ')))}{draw(NUMBERS)}"
+    return draw(st.one_of(st.just(spec), st.just(spec), st.text(max_size=12)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(sidecars(), st.lists(contrasts(), min_size=1, max_size=3),
+       st.one_of(st.none(), NUMBERS))
+# too many digits for int(), tails whose square under- and overflows, and
+# nesting too deep for the JSON parser
+@example(json.dumps(SIDECAR), ["alpha:" + "1" * 5000], None)
+@example(json.dumps({**SIDECAR, "v_tail": 1e-170}), ["beta:1"], None)
+@example(json.dumps({**SIDECAR, "v_tail": 1e200}), ["alpha:2"], None)
+@example("[" * 100_000 + "]" * 100_000, ["gamma:1"], None)
+def test_test_command_fails_only_with_documented_exit_codes(
+        tmp_path_factory, sidecar, specs, null):
+    work = tmp_path_factory.mktemp("totality_test")
+    (work / "fit.json").write_text(sidecar, encoding="utf-8")
+    argv = ["test", str(work / "fit.json"), "--out-dir", str(work / "out")]
+    argv += [f"--contrast={spec}" for spec in specs]
+    if null is not None:
+        argv.append(f"--null={null}")
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:       # argparse refuses a --null that is no number
+            code = exc.code
+    assert code in EXIT_CODES
+    assert "Traceback" not in stderr.getvalue()
+    assert (work / "out").exists() == (code == cli.EXIT_OK)
