@@ -123,9 +123,11 @@ def _degree_se(u_diag, v_diag, u_tail, v_tail, slot, other=None):
 
     # a numpy scalar, so a tail whose square under- or overflows gives an
     # infinite or zero standard error where a Python float raises; ``**``
-    # keeps the bits of C ``pow``, which ``np.square`` does not
-    tail = u_tail / np.float64(v_tail) ** 2
-    return np.sqrt(own(slot) + (tail if other is None else own(other)))
+    # keeps the bits of C ``pow``, which ``np.square`` does not.  Such a
+    # standard error is the answer, so numpy does not warn about it.
+    with np.errstate(divide="ignore", over="ignore", under="ignore"):
+        tail = u_tail / np.float64(v_tail) ** 2
+        return np.sqrt(own(slot) + (tail if other is None else own(other)))
 
 
 @dataclass(frozen=True)

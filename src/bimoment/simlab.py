@@ -21,8 +21,8 @@ import functools
 import math
 import numbers
 import sys
-from dataclasses import dataclass, field
-from typing import Mapping
+from collections.abc import Mapping
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,9 +43,14 @@ def _integer(name: str, value, least: int) -> int:
 
 
 def _finite(name: str, value) -> float:
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+    try:
+        number = math.nan if isinstance(value, bool) or not isinstance(
+            value, numbers.Real) else float(value)
+    except OverflowError:  # an integer too large for a float
+        number = math.inf
+    if not math.isfinite(number):
         raise ConfigError(f"scenario {name} must be a finite number, got {value!r}")
-    return float(value)
+    return number
 
 
 @dataclass(frozen=True)
@@ -67,6 +72,9 @@ class Scenario:
         if self.m * self.n > sys.maxsize // 8:
             raise ConfigError(f"scenario m x n must be at most {sys.maxsize // 8}, the most "
                               f"entries one float64 array can address")
+        if self.replications > sys.maxsize // 8:
+            raise ConfigError(f"scenario replications must be at most {sys.maxsize // 8}, "
+                              f"the most records one list can hold")
         _finite("L", self.L)
         gamma_star = tuple(_finite("gamma_star", g) for g in self.gamma_star)
         object.__setattr__(self, "gamma_star", gamma_star)
@@ -198,15 +206,91 @@ def tracked_indices(m: int, n: int) -> dict:
 
 
 @dataclass(frozen=True)
+class _RecordLayout:
+    """Where each tracked value of an (m, n, p) replication sits in a
+    record's buffer: the tracked degree parameters and neighbouring actor
+    pairs as indices into ``theta``, each once, and per record field the
+    slot of each key.  The fields follow one another in the buffer in
+    the order ``abs_errors``, ``zeta``, ``ci_hits``, ``ci_lengths``."""
+
+    shape: tuple
+    degree: np.ndarray
+    pairs: tuple
+    slots: dict
+
+
+@functools.lru_cache(maxsize=16)
+def _record_layout(m: int, n: int, p: int) -> _RecordLayout:
+    """The layout every record of an (m, n, p) study shares, built once
+    per shape and process.  Where tracked indices coincide (m or n below
+    4) a key is kept once, at its first place."""
+    tracked = tracked_indices(m, n)
+    alpha, beta, pairs = (tuple(dict.fromkeys(tracked[name]))
+                          for name in ("alpha", "beta", "alpha_pairs"))
+    degree_keys = [f"alpha:{i}" for i in alpha] + [f"beta:{j}" for j in beta]
+    pair_keys = [f"alpha:{i}-alpha:{j}" for i, j in pairs]
+    gamma_keys = [f"gamma:{k}" for k in range(1, p + 1)]
+    fields = {
+        "abs_errors": degree_keys + gamma_keys,
+        "zeta": degree_keys,
+        "ci_hits": pair_keys + [key for k in range(1, p + 1)
+                                for key in (f"gamma:{k}", f"gamma_bc:{k}")],
+        "ci_lengths": pair_keys + gamma_keys,
+    }
+    slots, start = {}, 0
+    for name, keys in fields.items():
+        slots[name] = {key: start + s for s, key in enumerate(keys)}
+        start += len(keys)
+    degree = np.array(alpha + tuple(m + j for j in beta), dtype=np.intp) - 1
+    pairs = np.array(pairs, dtype=np.intp).reshape(-1, 2) - 1
+    return _RecordLayout(shape=(m, n, p), degree=degree, pairs=(pairs[:, 0], pairs[:, 1]),
+                         slots=slots)
+
+
+class _RecordView(Mapping):
+    """A read-only mapping over one field of a record's buffer."""
+
+    __slots__ = ("_slots", "_values", "_as_bool")
+
+    def __init__(self, slots: dict, values: memoryview, as_bool: bool):
+        self._slots, self._values, self._as_bool = slots, values, as_bool
+
+    def __getitem__(self, key):
+        value = self._values[self._slots[key]]
+        return bool(value) if self._as_bool else value
+
+    def __iter__(self):
+        return iter(self._slots)
+
+    def __len__(self):
+        return len(self._slots)
+
+
+@dataclass(frozen=True, slots=True)
 class ReplicationRecord:
-    """Everything retained from one replication."""
+    """Everything retained from one replication.
+
+    A converged record holds its tracked values as one float64 buffer
+    (``values``, 8 bytes per value) in the layout ``_record_layout(*shape)``
+    that every record of an (m, n, p) study shares.  ``abs_errors``,
+    ``zeta``, ``ci_hits`` (as ``bool``) and ``ci_lengths`` are read-only
+    mappings over it, keyed ``alpha:i``, ``beta:j``, ``gamma:k``,
+    ``gamma_bc:k`` and ``alpha:i-alpha:j``.  A record that did not
+    converge holds no values, and its four mappings are empty."""
 
     replication: int
     converged: bool
-    abs_errors: dict = field(default_factory=dict)
-    zeta: dict = field(default_factory=dict)
-    ci_hits: dict = field(default_factory=dict)
-    ci_lengths: dict = field(default_factory=dict)
+    shape: tuple = ()
+    values: bytes = b""
+
+    def _view(self, name: str, as_bool: bool = False) -> _RecordView:
+        slots = _record_layout(*self.shape).slots[name] if self.converged else {}
+        return _RecordView(slots, memoryview(self.values).cast("d"), as_bool)
+
+    abs_errors = property(lambda self: self._view("abs_errors"))
+    zeta = property(lambda self: self._view("zeta"))
+    ci_hits = property(lambda self: self._view("ci_hits", as_bool=True))
+    ci_lengths = property(lambda self: self._view("ci_lengths"))
 
 
 def run_replication(scenario: Scenario, replication: int) -> ReplicationRecord:
@@ -230,56 +314,26 @@ def run_replication(scenario: Scenario, replication: int) -> ReplicationRecord:
 def _score_replication(
     scenario: Scenario, replication: int, truth: ParameterSet, result: FitResult
 ) -> ReplicationRecord:
-    m, n = scenario.m, scenario.n
+    layout = _record_layout(scenario.m, scenario.n, len(scenario.gamma_star))
     comp = components_from_fit(result)
-    tracked = tracked_indices(m, n)
-
-    abs_errors = {}
-    zeta = {}
-    ci_hits = {}
-    ci_lengths = {}
-
-    # Keys are interned: a study keeps every record, and one shared copy of
-    # each key string instead of one per record cuts a record at (100, 100)
-    # from about 3.1 to 1.8 KB.
-    for i in tracked["alpha"]:
-        key = sys.intern(f"alpha:{i}")
-        err = result.params.alpha[i - 1] - truth.alpha[i - 1]
-        abs_errors[key] = abs(float(err))
-        zeta[key] = float(err / comp.degree_se(i - 1))
-    for j in tracked["beta"]:
-        key = sys.intern(f"beta:{j}")
-        err = result.params.beta[j - 1] - truth.beta[j - 1]
-        abs_errors[key] = abs(float(err))
-        zeta[key] = float(err / comp.degree_se(m + j - 1))
-
-    for i, j in tracked["alpha_pairs"]:
-        se = float(comp.degree_se(i - 1, j - 1))
-        est = result.params.alpha[i - 1] - result.params.alpha[j - 1]
-        true = truth.alpha[i - 1] - truth.alpha[j - 1]
-        key = sys.intern(f"alpha:{i}-alpha:{j}")
-        ci_hits[key] = bool(abs(est - true) <= Z_95 * se)
-        ci_lengths[key] = 2.0 * Z_95 * se
+    theta, true_theta = result.params.theta, truth.theta
+    err = theta[layout.degree] - true_theta[layout.degree]
+    first, second = layout.pairs
+    pair_se = comp.degree_se(first, second)
+    pair_err = (theta[first] - theta[second]) - (true_theta[first] - true_theta[second])
 
     coef = coefficient_inference(result, method="fisher")
-    for k in range(len(scenario.gamma_star)):
-        err = coef.estimate[k] - scenario.gamma_star[k]
-        err_bc = coef.estimate_bc[k] - scenario.gamma_star[k]
-        se = coef.standard_errors[k]
-        key = sys.intern(f"gamma:{k + 1}")
-        abs_errors[key] = abs(float(err))
-        ci_hits[key] = bool(abs(err) <= Z_95 * se)
-        ci_hits[sys.intern(f"gamma_bc:{k + 1}")] = bool(abs(err_bc) <= Z_95 * se)
-        ci_lengths[key] = 2.0 * Z_95 * float(se)
-
-    return ReplicationRecord(
-        replication=replication,
-        converged=True,
-        abs_errors=abs_errors,
-        zeta=zeta,
-        ci_hits=ci_hits,
-        ci_lengths=ci_lengths,
-    )
+    err_g = coef.estimate - truth.gamma
+    half_g = Z_95 * coef.standard_errors
+    gamma_hits = np.column_stack((np.abs(err_g) <= half_g,
+                                  np.abs(coef.estimate_bc - truth.gamma) <= half_g))
+    values = np.concatenate((
+        np.abs(err), np.abs(err_g), err / comp.degree_se(layout.degree),  # abs_errors, zeta
+        np.abs(pair_err) <= Z_95 * pair_se, gamma_hits.ravel(),             # ci_hits
+        2.0 * Z_95 * pair_se, 2.0 * Z_95 * coef.standard_errors,            # ci_lengths
+    ), dtype=float)
+    return ReplicationRecord(replication=replication, converged=True,
+                             shape=layout.shape, values=values.tobytes())
 
 
 @dataclass(frozen=True)
@@ -335,21 +389,18 @@ def run_scenario(scenario: Scenario, workers: int = 1) -> ScenarioSummary:
     else:
         records = [run_replication(scenario, r) for r in reps]
     good = [rec for rec in records if rec.converged]
-
-    def mean_over(field_name):
-        keys = good[0].__getattribute__(field_name).keys() if good else ()
-        return {
-            key: float(np.mean([rec.__getattribute__(field_name)[key] for rec in good]))
-            for key in keys
-        }
-
-    mae = mean_over("abs_errors")
-    coverage = {k: 100.0 * v for k, v in mean_over("ci_hits").items()}
-    ci_length = mean_over("ci_lengths")
-    zeta_samples = {}
+    mae, coverage, ci_length, zeta_samples = {}, {}, {}, {}
     if good:
-        for key in good[0].zeta:
-            zeta_samples[key] = np.array([rec.zeta[key] for rec in good])
+        slots = _record_layout(scenario.m, scenario.n, len(scenario.gamma_star)).slots
+        # one contiguous row per tracked value, so np.mean sums each in the
+        # same pairwise order as an array built from a list of the records
+        columns = np.frombuffer(b"".join(rec.values for rec in good)).reshape(
+            len(good), -1).T.copy()
+        mae = {key: float(np.mean(columns[s])) for key, s in slots["abs_errors"].items()}
+        coverage = {key: 100.0 * float(np.mean(columns[s]))
+                    for key, s in slots["ci_hits"].items()}
+        ci_length = {key: float(np.mean(columns[s])) for key, s in slots["ci_lengths"].items()}
+        zeta_samples = {key: columns[s] for key, s in slots["zeta"].items()}
     return ScenarioSummary(
         scenario=scenario,
         replications=scenario.replications,

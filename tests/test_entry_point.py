@@ -1,5 +1,6 @@
 """The ``bimoment`` command in real processes: fit, test and simulate on a
-small fixture, an exit status, and stderr without a traceback.
+small fixture, an exit status, stderr without a traceback, and a ``test``
+on extreme variances that writes nothing to stderr.
 
 Every other CLI check calls ``cli.main`` in process (``test_cli.py``).
 This file also runs against an installed package, from outside the
@@ -15,6 +16,7 @@ import sys
 
 import pytest
 
+from bimoment import InferenceComponents
 from bimoment.cli import EXIT_CONFIG, EXIT_OK
 from bimoment.fixtures import make_ratings_fixture
 
@@ -68,3 +70,22 @@ def test_usage_error_is_exit_status_2(tmp_path):
     assert run.returncode == EXIT_CONFIG
     assert run.stderr.startswith("error: unknown family 'bogus'")
     assert not out.exists()
+
+
+def test_extreme_sidecar_prints_no_warning(tmp_path):
+    # a first actor variance whose square underflows and a tail whose square
+    # overflows: the standard errors are infinite and finite, with no numpy
+    # RuntimeWarning on stderr (an in-process run would not show one there)
+    sidecar = InferenceComponents(
+        m=3, n=4, theta=[0.4, -0.2, 0.1, 0.3, -0.5, 0.0], gamma=[0.5, -1.0],
+        v_diag=[1e-170, 1.5, 1.0, 1.2, 0.8, 2.5], v_tail=1e200,
+        u_diag=[2.1, 1.4, 1.1, 1.0, 0.9, 2.4], u_tail=1.6,
+        gamma_covariance=[[0.04, 0.01], [0.01, 0.09]],
+    )
+    (tmp_path / "fit.json").write_text(json.dumps(sidecar.to_json()))
+    run = bimoment("test", tmp_path / "fit.json", "--contrast", "alpha:1",
+                   "--contrast", "beta:1", "--contrast", "alpha:1-alpha:2")
+    assert run.returncode == EXIT_OK
+    assert run.stderr == ""
+    se = [float(line.split("\t")[2]) for line in run.stdout.splitlines()[1:]]
+    assert se[0] == se[2] == float("inf") and 0.0 < se[1] < float("inf")

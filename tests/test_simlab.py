@@ -5,6 +5,7 @@ normality check."""
 import json
 import math
 import os
+import pickle
 import platform
 import subprocess
 import sys
@@ -26,7 +27,8 @@ from bimoment import (
 )
 from bimoment import simlab
 from bimoment.errors import IllPosedError, ModelDegeneracyError, SingularJacobianError
-from bimoment.inference import coefficient_inference
+from bimoment.fitter import fit
+from bimoment.inference import coefficient_inference, components_from_fit
 from bimoment.simlab import (
     Z_95,
     run_replication,
@@ -355,6 +357,75 @@ class TestRunScenario:
         gamma_mae = max(summary.mae["gamma:1"], summary.mae["gamma:2"])
         alpha_mae = summary.mae["alpha:1"]
         assert gamma_mae < 0.5 * alpha_mae
+
+
+def record_dicts_per_key(scenario, replication):
+    """Oracle: a converged replication's four record fields as dicts built
+    one tracked index at a time, with scalar arithmetic, where a repeated
+    index writes its key again in place."""
+    rng = np.random.default_rng([scenario.seed, replication])
+    family = get_family(scenario.family)
+    truth = generate_truth(scenario.m, scenario.n, scenario.L, scenario.gamma_star)
+    cov = generate_covariates(scenario.m, scenario.n, scenario.scheme, rng)
+    result = fit(simulate_network(truth, cov, family, rng), cov, family)
+    comp, est = components_from_fit(result), result.params
+    tracked = tracked_indices(scenario.m, scenario.n)
+    abs_errors, zeta, ci_hits, ci_lengths = {}, {}, {}, {}
+    for side, offset in (("alpha", 0), ("beta", scenario.m)):
+        for i in tracked[side]:
+            err = getattr(est, side)[i - 1] - getattr(truth, side)[i - 1]
+            abs_errors[f"{side}:{i}"] = abs(float(err))
+            zeta[f"{side}:{i}"] = float(err / comp.degree_se(offset + i - 1))
+    for i, j in tracked["alpha_pairs"]:
+        se = float(comp.degree_se(i - 1, j - 1))
+        err = (est.alpha[i - 1] - est.alpha[j - 1]) - (truth.alpha[i - 1] - truth.alpha[j - 1])
+        ci_hits[f"alpha:{i}-alpha:{j}"] = bool(abs(err) <= Z_95 * se)
+        ci_lengths[f"alpha:{i}-alpha:{j}"] = 2.0 * Z_95 * se
+    coef = coefficient_inference(result)
+    for k, true in enumerate(scenario.gamma_star):
+        se = coef.standard_errors[k]
+        abs_errors[f"gamma:{k + 1}"] = abs(float(coef.estimate[k] - true))
+        ci_hits[f"gamma:{k + 1}"] = bool(abs(coef.estimate[k] - true) <= Z_95 * se)
+        ci_hits[f"gamma_bc:{k + 1}"] = bool(abs(coef.estimate_bc[k] - true) <= Z_95 * se)
+        ci_lengths[f"gamma:{k + 1}"] = 2.0 * Z_95 * float(se)
+    return dict(abs_errors=abs_errors, zeta=zeta, ci_hits=ci_hits, ci_lengths=ci_lengths)
+
+
+class TestRecordLayout:
+    # at m = n = 3 the tracked indices repeat alpha:1, beta:1 and the pair
+    # alpha:1-alpha:2, so each field keeps fewer keys than it tracks
+    SCENARIO = Scenario(m=3, n=3, L=0.0, gamma_star=(0.5, 1.0), replications=20, seed=1)
+    FIELDS = ("abs_errors", "zeta", "ci_hits", "ci_lengths")
+
+    @pytest.fixture(scope="class")
+    def records(self):
+        return [run_replication(self.SCENARIO, r) for r in range(20)]
+
+    def test_views_equal_dicts_built_per_key(self, records):
+        converged = [rec for rec in records if rec.converged]
+        assert converged
+        for rec in converged:
+            want = record_dicts_per_key(self.SCENARIO, rec.replication)
+            assert len(rec.abs_errors) == 6
+            for name in self.FIELDS:
+                view = getattr(rec, name)
+                assert list(view) == list(want[name])
+                # repr tells a bool from a float and -0.0 from 0.0
+                assert {k: repr(v) for k, v in view.items()} == {
+                    k: repr(v) for k, v in want[name].items()}
+
+    def test_record_holds_one_buffer(self, records):
+        for rec in records:
+            again = pickle.loads(pickle.dumps(rec))
+            assert again == rec
+            if rec.converged:
+                assert len(rec.values) == 8 * sum(len(getattr(rec, f)) for f in self.FIELDS)
+                with pytest.raises(TypeError):
+                    rec.abs_errors["alpha:1"] = 0.0
+            else:
+                assert rec.values == b""
+                assert all(getattr(rec, f) == {} for f in self.FIELDS)
+        assert not all(rec.converged for rec in records)
 
 
 class TestNormalityCheck:

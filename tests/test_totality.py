@@ -4,7 +4,9 @@ either returns or raises one of the documented error classes, and the
 invalid ``--tol``/``--max-iter`` values, returns a documented exit code
 without a traceback and makes its output directory only when it
 succeeds.  The ``test`` command, on mutated ``fit.json`` sidecars and
-generated contrast strings, does the same."""
+generated contrast strings, and the ``simulate`` command, on small
+scenario files with ill-typed, extreme and non-finite values, do the
+same."""
 
 import contextlib
 import dataclasses
@@ -206,6 +208,68 @@ def test_test_command_fails_only_with_documented_exit_codes(
             code = cli.main(argv)
         except SystemExit as exc:       # argparse refuses a --null that is no number
             code = exc.code
+    assert code in EXIT_CODES
+    assert "Traceback" not in stderr.getvalue()
+    assert (work / "out").exists() == (code == cli.EXIT_OK)
+
+
+# A small valid scenario; each example sets some of its keys, or adds one.
+SCENARIO = {"m": 4, "n": 3, "L": 0.0, "gamma_star": [0.5, 1.0], "family": "logistic",
+            "scheme": "sign-product-2d", "replications": 2, "seed": 1}
+# Sizes and counts stay small or are refused: no example allocates a large
+# array or runs a long study.  The extreme integers are beyond what an array
+# or a list can address, so they must be refused.
+COUNTS = st.one_of(st.integers(-1, 6), st.sampled_from(
+    (None, True, "3", 3.0, 2.5, [], {}, float("nan"), float("inf"), 2**62, 10**400)))
+LEVELS = st.one_of(st.floats(), st.floats(-40, 40), st.sampled_from(
+    (None, True, "0", [], 10**400, 5e-324, 1e-170, 1e200, 1.7976931348623157e308)))
+SCENARIO_VALUES = {
+    "m": COUNTS, "n": COUNTS, "replications": COUNTS,
+    "seed": st.one_of(COUNTS, st.sampled_from((2**64, 10**400))),
+    "L": LEVELS, "L_factor": LEVELS,
+    "gamma_star": st.one_of(st.lists(LEVELS, max_size=3), LEVELS, st.text(max_size=3),
+                            st.dictionaries(st.text(max_size=2), LEVELS, max_size=2)),
+    "family": st.one_of(st.sampled_from(("logistic", "poisson", "Poisson", "")), ODD),
+    "scheme": st.one_of(st.sampled_from(("sign-product-2d", "none", "")), ODD),
+}
+
+
+@st.composite
+def scenario_files(draw):
+    """The text of a scenario file with up to three of its keys set to
+    drawn values or dropped (``L`` goes when ``L_factor`` comes, now and
+    then); one in eight has a key no scenario has, and one in eight is
+    not an object at all."""
+    if draw(st.integers(0, 7)) == 0:
+        return json.dumps(draw(ODD))
+    raw = dict(SCENARIO)
+    if draw(st.integers(0, 7)) == 0:
+        raw["bogus"] = draw(ODD)
+    for key in draw(st.lists(st.sampled_from(sorted(SCENARIO_VALUES)), max_size=3,
+                             unique=True)):
+        if key in raw and draw(st.integers(0, 3)) == 0:
+            del raw[key]
+        else:
+            raw[key] = draw(SCENARIO_VALUES[key])
+            if key == "L_factor" and draw(st.booleans()):
+                raw.pop("L", None)
+    return json.dumps(raw)
+
+
+@settings(max_examples=200, deadline=None)
+@given(scenario_files())
+# a count too large for a list of records, a level too large for a float,
+# and a level whose truth overflows
+@example(json.dumps({**SCENARIO, "replications": 10**400}))
+@example(json.dumps({**SCENARIO, "L": 10**400}))
+@example(json.dumps({**SCENARIO, "L": 1e308}))
+def test_simulate_command_fails_only_with_documented_exit_codes(tmp_path_factory, text):
+    work = tmp_path_factory.mktemp("totality_simulate")
+    (work / "scenario.json").write_text(text, encoding="utf-8")
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["simulate", str(work / "scenario.json"),
+                         "--out-dir", str(work / "out")])
     assert code in EXIT_CODES
     assert "Traceback" not in stderr.getvalue()
     assert (work / "out").exists() == (code == cli.EXIT_OK)
